@@ -1,6 +1,6 @@
 """Perf-regression gate: view-cache speedups and kernel-executor floors.
 
-Two gates, both on speedup *ratios* (numerator and denominator measured in
+Every gate is on a *ratio* (numerator and denominator measured in
 the same process, same machine — wall-clock medians alone are too noisy to
 gate on in shared CI runners):
 
@@ -8,9 +8,8 @@ gate on in shared CI runners):
    baseline's tier and fails if any warm-query speedup has fallen below
    ``THRESHOLD`` x the speedup recorded in ``BENCH_engine.json``;
 2. **kernel executor** — re-runs the recursive chain/component scenarios
-   under all three executors and fails if the kernel's speedup drops below
-   the absolute floors: ``KERNEL_MIN_VS_BATCH`` x batch and
-   ``KERNEL_MIN_VS_NESTED`` x nested;
+   under both executors and fails if the kernel's speedup over the nested
+   reference drops below the absolute floor ``KERNEL_MIN_VS_NESTED``;
 3. **columnar pipeline** — re-runs the recursive scenarios at the large
    tier with the numpy backend off vs on and fails if the median
    kernel+numpy speedup over kernel-plain drops below
@@ -51,8 +50,7 @@ from run_benchmarks import (
 #: A fresh warm-query speedup below this fraction of the committed one fails.
 THRESHOLD = 0.5
 
-#: Absolute floors for the kernel executor on the recursive scenarios.
-KERNEL_MIN_VS_BATCH = 2.0
+#: Absolute floor for the kernel executor on the recursive scenarios.
 KERNEL_MIN_VS_NESTED = 10.0
 
 #: Scenarios the kernel gate measures.
@@ -90,27 +88,23 @@ COLUMNAR_MIN_SPEEDUP = 1.3
 
 
 def kernel_gate(sizes, repeats: int) -> list[str]:
-    """Fresh kernel-vs-batch / kernel-vs-nested floors; returns failures."""
+    """Fresh kernel-vs-nested floor; returns failures."""
     failures = []
     runners = scenarios(sizes)
     for name in KERNEL_SCENARIOS:
         runner = runners[name]
         medians = {}
-        for executor in ("batch", "nested", "kernel"):
+        for executor in ("nested", "kernel"):
             medians[executor] = statistics.median(
                 runner(executor)[0] for _ in range(repeats)
             )
-        vs_batch = medians["batch"] / medians["kernel"] if medians["kernel"] else 0.0
         vs_nested = medians["nested"] / medians["kernel"] if medians["kernel"] else 0.0
-        batch_ok = vs_batch >= KERNEL_MIN_VS_BATCH
-        nested_ok = vs_nested >= KERNEL_MIN_VS_NESTED
-        verdict = "ok" if batch_ok and nested_ok else "REGRESSION"
+        verdict = "ok" if vs_nested >= KERNEL_MIN_VS_NESTED else "REGRESSION"
         print(
-            f"{name:30s} kernel {vs_batch:.1f}x batch "
-            f"(>= {KERNEL_MIN_VS_BATCH:.1f}x)  {vs_nested:.1f}x nested "
+            f"{name:30s} kernel {vs_nested:.1f}x nested "
             f"(>= {KERNEL_MIN_VS_NESTED:.1f}x)  {verdict}"
         )
-        if not (batch_ok and nested_ok):
+        if vs_nested < KERNEL_MIN_VS_NESTED:
             failures.append(name)
     return failures
 

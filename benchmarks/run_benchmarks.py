@@ -3,11 +3,17 @@
 Runs the ``bench_engines`` / ``bench_recursive`` / ``bench_retrieve``
 scenario shapes without pytest and writes ``BENCH_engine.json`` —
 scenario -> median wall-time, fact/row counts, executor used — so perf can
-be tracked across PRs.  Every bottom-up scenario runs under all three
-executors (``batch`` hash joins, the ``nested`` tuple-at-a-time reference,
-and the interned-id ``kernel`` loops), and the paired speedup ratios
-(``batch_vs_nested``, ``kernel_vs_batch``, ``kernel_vs_nested``) are
+be tracked across PRs.  Every bottom-up scenario runs under both executors
+(the interned-id ``kernel`` loops and the ``nested`` tuple-at-a-time
+reference), and the paired speedup ratio (``kernel_vs_nested``) is
 reported alongside.
+
+The ``guard_overhead`` and ``tracer_overhead`` sections time the kernel
+executor with the resource guard armed (and with the do-nothing / the
+collecting tracer) against the same run ungoverned and untraced.  Each
+figure is the median of per-pair on/off ratios over ``OVERHEAD_PAIRS``
+interleaved pairs, so drift on a shared machine hits both sides of a pair
+alike instead of one side's median.
 
 The ``cache`` section measures the materialized view cache: warm/cold
 repeated-query scenarios (hit rate and warm-vs-cold speedup through the
@@ -62,6 +68,9 @@ from repro.datasets import (
     university_kb,
 )
 from repro.lang.parser import parse_atom, parse_body
+
+#: Interleaved on/off pairs behind each guard/tracer overhead ratio.
+OVERHEAD_PAIRS = 51
 
 #: Workload sizes per tier: smoke keeps CI fast, default is the tracked tier,
 #: large (>= 50k derived facts per recursive scenario) is where columnar
@@ -171,32 +180,50 @@ def scenarios(sizes):
                 "can_ta(X, databases) and student(X, math, V) and (V > 3.7)"
             ),
         ),
-        # Same workload with the resource guard off vs armed with generous
-        # limits: the pair measures pure checkpoint overhead.
-        "guard_overhead/off": _materialise(
-            lambda: chain_graph_kb(sizes["chain_length"]), "path"
-        ),
-        "guard_overhead/on": _materialise(
-            lambda: chain_graph_kb(sizes["chain_length"]),
+    }
+
+
+def overhead_metrics(sizes) -> dict:
+    """Guard and tracer overhead on the kernel executor, pair by pair.
+
+    Every round materializes the chain closure once plain and once per
+    variant — the guard armed with generous limits (pure checkpoint
+    cost), the shared do-nothing tracer (``null``: the disabled path) and
+    the collecting tracer (``on``) — in an order that rotates each round.
+    A variant's overhead is the median over rounds of its time divided by
+    the same round's plain time.
+    """
+
+    def chain():
+        return chain_graph_kb(sizes["chain_length"])
+
+    runners = {
+        "off": _materialise(chain, "path"),
+        "guard": _materialise(
+            chain,
             "path",
             guard=lambda: ResourceGuard(deadline=600.0, max_facts=100_000_000),
         ),
-        # The same pairing for the tracer: "null" hands every
-        # instrumentation site the shared do-nothing tracer (the disabled
-        # path must stay under 5%), "on" collects the full span tree.
-        "tracer_overhead/off": _materialise(
-            lambda: chain_graph_kb(sizes["chain_length"]), "path"
-        ),
-        "tracer_overhead/null": _materialise(
-            lambda: chain_graph_kb(sizes["chain_length"]),
-            "path",
-            tracer=lambda: NULL_TRACER,
-        ),
-        "tracer_overhead/on": _materialise(
-            lambda: chain_graph_kb(sizes["chain_length"]),
-            "path",
-            tracer=Tracer,
-        ),
+        "null": _materialise(chain, "path", tracer=lambda: NULL_TRACER),
+        "on": _materialise(chain, "path", tracer=Tracer),
+    }
+    names = list(runners)
+    ratios: dict[str, list[float]] = {name: [] for name in names if name != "off"}
+    runners["off"]("kernel")  # warm-up: interns the chain's constants
+    for round_index in range(OVERHEAD_PAIRS):
+        shift = round_index % len(names)
+        times = {
+            name: runners[name]("kernel")[0]
+            for name in names[shift:] + names[:shift]
+        }
+        for name, samples in ratios.items():
+            samples.append(times[name] / times["off"])
+    medians = {
+        name: round(statistics.median(samples), 3) for name, samples in ratios.items()
+    }
+    return {
+        "guard_overhead": {"kernel": medians["guard"]},
+        "tracer_overhead": {"kernel": {"null": medians["null"], "on": medians["on"]}},
     }
 
 
@@ -293,7 +320,7 @@ def plan_cache_metrics(sizes, repeats: int) -> dict:
     """
     rounds = max(repeats, 5)
     results: dict[str, dict] = {}
-    for executor in ("batch", "kernel"):
+    for executor in ("kernel",):
         timings: dict[bool, float] = {}
         stats: dict[str, int] = {}
         for enabled in (True, False):
@@ -665,34 +692,9 @@ def run_tier(tier: str, repeats: int | None = None) -> dict:
                 "facts": count,
                 "executor": executor,
             }
-        ratios: dict[str, float] = {}
-        if "nested" in medians and medians["batch"] > 0:
-            ratios["batch_vs_nested"] = round(medians["nested"] / medians["batch"], 2)
-        if medians["kernel"] > 0:
-            ratios["kernel_vs_batch"] = round(medians["batch"] / medians["kernel"], 2)
-            if "nested" in medians:
-                ratios["kernel_vs_nested"] = round(
-                    medians["nested"] / medians["kernel"], 2
-                )
-        if ratios:
-            speedups[name] = ratios
-    guard_overhead = {}
-    for executor in executors:
-        off = results[f"guard_overhead/off[{executor}]"]["median_s"]
-        on = results[f"guard_overhead/on[{executor}]"]["median_s"]
-        if off > 0:
-            guard_overhead[executor] = round(on / off, 3)
-    tracer_overhead: dict[str, dict[str, float]] = {}
-    for executor in executors:
-        off = results[f"tracer_overhead/off[{executor}]"]["median_s"]
-        if off > 0:
-            tracer_overhead[executor] = {
-                "null": round(
-                    results[f"tracer_overhead/null[{executor}]"]["median_s"] / off, 3
-                ),
-                "on": round(
-                    results[f"tracer_overhead/on[{executor}]"]["median_s"] / off, 3
-                ),
+        if "nested" in medians and medians["kernel"] > 0:
+            speedups[name] = {
+                "kernel_vs_nested": round(medians["nested"] / medians["kernel"], 2)
             }
     # The columnar pairing needs vectorization headroom to be visible, so
     # it always measures at the large tier's sizes — except on smoke runs,
@@ -708,11 +710,11 @@ def run_tier(tier: str, repeats: int | None = None) -> dict:
             "repeats": repeats,
             "unit": "seconds (median wall-time)",
             "executors": executors,
+            "overhead_pairs": OVERHEAD_PAIRS,
         },
         "scenarios": results,
         "speedups": speedups,
-        "guard_overhead": guard_overhead,
-        "tracer_overhead": tracer_overhead,
+        **overhead_metrics(sizes),
         "cache": cache_metrics(sizes, repeats),
         "plan_cache": plan_cache_metrics(sizes, repeats),
         "analysis": analysis_metrics(sizes, repeats),
@@ -784,11 +786,7 @@ def main(argv=None) -> int:
         print(f"{name:40s} {entry['median_s']:.4f}s  ({entry['facts']} facts)")
     print()
     for name, ratios in sorted(report["speedups"].items()):
-        print(
-            f"{name:40s} batch {ratios.get('batch_vs_nested', 0):.2f}x nested, "
-            f"kernel {ratios.get('kernel_vs_batch', 0):.2f}x batch / "
-            f"{ratios.get('kernel_vs_nested', 0):.2f}x nested"
-        )
+        print(f"{name:40s} kernel {ratios['kernel_vs_nested']:.2f}x nested")
     for executor, factor in sorted(report["guard_overhead"].items()):
         label = f"guard overhead [{executor}]"
         print(f"{label:40s} {factor:.3f}x ungoverned")

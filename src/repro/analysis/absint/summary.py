@@ -66,10 +66,6 @@ class AnalysisSummary:
     cards: Mapping[str, CardEstimate]
     recursion: Mapping[str, str]
     model: ProgramModel = field(repr=False, compare=False)
-    #: Scratch memo for engine-side artifacts derived from this summary
-    #: (e.g. per-rule variable domains computed at kernel-compile time).
-    #: Lives and dies with the summary, so cache invalidation is free.
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- lookups -----------------------------------------------------------------
 

@@ -72,12 +72,6 @@ class RuleTypes:
     """The abstract evaluation of one rule body."""
 
     variables: dict[Variable, ColumnDomain] = field(default_factory=dict)
-    #: Domains after the positive atoms alone, before comparison guards
-    #: refine them.  Consumers that use domains to *justify eliding a
-    #: guard's own runtime check* (the kernel's comparison specialization)
-    #: must read these — the guard-narrowed ``variables`` would be
-    #: circular evidence.
-    atom_variables: dict[Variable, ColumnDomain] = field(default_factory=dict)
     #: Whether the body can (abstractly) produce any row at all.
     contributes: bool = True
     events: list[TypeEvent] = field(default_factory=list)
@@ -195,8 +189,6 @@ def rule_types(
                         )
             else:
                 _meet_into(result, arg, domain, atom)
-
-    result.atom_variables = dict(result.variables)
 
     # Comparisons refine (and order comparisons are checked for provable
     # incompatibility — the evidence behind KB701).

@@ -11,6 +11,7 @@ nothing validated) or a loaded :class:`~repro.catalog.database.KnowledgeBase`
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -53,10 +54,22 @@ class ProgramModel:
     declared_idb: dict[str, int] = field(default_factory=dict)
     #: Stored-fact counts per EDB predicate.
     fact_counts: dict[str, int] = field(default_factory=dict)
-    #: The knowledge base this model was built from (``from_kb`` only) —
-    #: lets the abstract-interpretation analyses seed column domains and
-    #: cardinalities from the stored relations instead of program text.
-    source_kb: "KnowledgeBase | None" = field(default=None, repr=False, compare=False)
+    #: Weak reference to the knowledge base this model was built from
+    #: (``from_kb`` only); read it through :attr:`source_kb`.
+    _source: "weakref.ref[KnowledgeBase] | None" = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def source_kb(self) -> "KnowledgeBase | None":
+        """The knowledge base this model was built from, while it is alive.
+
+        Lets the abstract-interpretation analyses seed column domains and
+        cardinalities from the stored relations instead of program text.
+        Held weakly: the analysis summary cache keeps models alive, and a
+        strong reference would keep every knowledge base alive with them.
+        """
+        return None if self._source is None else self._source()
 
     # -- constructors ------------------------------------------------------------
 
@@ -84,7 +97,7 @@ class ProgramModel:
     def from_kb(cls, kb: "KnowledgeBase") -> "ProgramModel":
         """Model a loaded knowledge base (facts kept as counts only)."""
         model = cls()
-        model.source_kb = kb
+        model._source = weakref.ref(kb)
         model.rules = kb.rules()
         model.constraints = kb.constraints()
         for predicate in kb.edb_predicates():

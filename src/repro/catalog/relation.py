@@ -52,7 +52,7 @@ class Relation:
         #: deterministic iteration like a list, O(1) delete unlike one.
         self._indexes: dict[int, dict[Constant, dict[Row, None]]] = {}
         #: Mutation counter; memoized statistics and external caches (the
-        #: batch executor's hash tables) are valid while it is unchanged.
+        #: kernel executor's build tables) are valid while it is unchanged.
         self._version = 0
         #: Memoized per-column distinct counts: column -> (version, count).
         self._stats: dict[int, tuple[int, int]] = {}
@@ -306,7 +306,7 @@ class Relation:
         """Mutation counter: changes iff the row set changed.
 
         External caches keyed on ``(relation, version)`` — memoized
-        statistics, the batch executor's hash tables — stay valid exactly
+        statistics, the kernel executor's build tables — stay valid exactly
         while the version is unchanged.
         """
         return self._version

@@ -790,8 +790,8 @@ def main(argv: list[str] | None = None) -> int:
             default="seminaive", help="evaluation engine",
         )
         obs_parser.add_argument(
-            "--executor", choices=("batch", "nested", "kernel"), default=None,
-            help="bottom-up execution model (default: kernel, or $REPRO_EXECUTOR)",
+            "--executor", choices=("nested", "kernel"), default=None,
+            help="bottom-up execution model (default: kernel)",
         )
         obs_parser.add_argument(
             "--json", action="store_true", help="emit machine-readable JSON"

@@ -57,7 +57,7 @@ from repro.logic.typing import (
     is_strongly_linear,
     is_typed_with_respect_to,
 )
-from repro.logic.unify import match
+from repro.logic.unify import match_bindings
 
 #: Rule-kind labels attached to transformed rules.
 KIND_TRANSFORMATION = "rT"
@@ -260,13 +260,33 @@ def _step_rule(predicate: str, rule: Rule) -> Rule:
 
 
 def _variant_rules(left: Rule, right: Rule) -> bool:
-    """Syntactic equality modulo variable renaming."""
+    """Syntactic equality modulo variable renaming.
+
+    Searches for one injective variable-to-variable map taking the left
+    head onto the right head and the left body atoms one-to-one onto the
+    right body atoms.  The two rules may share variable names: bindings
+    are matched one way, never resolved through each other.
+    """
     if left.head.predicate != right.head.predicate or len(left.body) != len(right.body):
         return False
-    theta = match(left.head, right.head)
-    if theta is None or not theta.is_renaming():
-        return False
-    return set(map(str, theta.apply_all(left.body))) == set(map(str, right.body))
+
+    def extend(bindings, remaining: list[Atom], unused: frozenset[int]) -> bool:
+        if bindings is None:
+            return False
+        if not remaining:
+            values = list(bindings.values())
+            return all(map(is_variable, values)) and len(set(values)) == len(values)
+        first, *rest = remaining
+        return any(
+            extend(match_bindings(first, right.body[i], bindings), rest, unused - {i})
+            for i in unused
+        )
+
+    return extend(
+        match_bindings(left.head, right.head),
+        list(left.body),
+        frozenset(range(len(right.body))),
+    )
 
 
 def modified_applicable(

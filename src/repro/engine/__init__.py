@@ -2,12 +2,12 @@
 
 Two interchangeable engines — semi-naive bottom-up and top-down with
 call-pattern tabling — behind one public API (:func:`retrieve`,
-:func:`evaluate_conjunction`).  The bottom-up engine offers three
-executors (the ``executor`` knob): the set-at-a-time hash-join executor
-of :mod:`repro.engine.plan` (default), the tuple-at-a-time nested-loop
-reference executor of :mod:`repro.engine.joins`, and the interned
-columnar kernel executor of :mod:`repro.engine.kernels` which lowers
-compiled plans to symbol-id space."""
+:func:`evaluate_conjunction`).  The bottom-up engine offers two executors
+(the ``executor`` knob): the interned kernel executor of
+:mod:`repro.engine.kernels` (default), which lowers the logical plans of
+:mod:`repro.engine.plan` to symbol-id space, and the tuple-at-a-time
+nested-loop reference executor of :mod:`repro.engine.joins`, kept as the
+differential oracle."""
 
 from repro.engine.evaluate import (
     ENGINES,

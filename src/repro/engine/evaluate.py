@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ENGINES = ("seminaive", "topdown", "magic")
 
 #: A compiled-plan cache: ``(rules_version, executor, fingerprint)`` ->
-#: compiled conjunction plan/kernel.  Sessions pass a bounded mapping so
+#: compiled conjunction kernel.  Sessions pass a bounded mapping so
 #: repeat point lookups skip recompilation (see :class:`repro.session.Session`).
 PlanCache = MutableMapping[tuple, object]
 
@@ -134,21 +134,18 @@ def evaluate_conjunction(
 
     ``negated`` conjuncts filter solutions by absence (closed world); their
     variables must be bound by the positive conjuncts.  ``executor``
-    selects the bottom-up execution model: ``"batch"`` compiles the
-    conjunction (and the rules under it) into set-at-a-time hash-join
-    plans, ``"nested"`` uses the tuple-at-a-time reference executor, and
-    ``"kernel"`` lowers the compiled plans to integer join kernels over
-    interned symbol ids (:mod:`repro.engine.kernels`).  ``None`` (the
-    default) resolves via :func:`repro.engine.plan.default_executor` —
-    normally ``kernel``, overridable with the ``REPRO_EXECUTOR``
-    environment variable.  Only the seminaive engine honours the knob;
+    selects the bottom-up execution model: ``"kernel"`` (the default, also
+    for ``None``) compiles the conjunction and the rules under it into
+    logical plans lowered to integer join kernels over interned symbol ids
+    (:mod:`repro.engine.kernels`); ``"nested"`` uses the tuple-at-a-time
+    reference executor.  Only the seminaive engine honours the knob;
     topdown and magic are tuple-at-a-time by construction.
 
     ``plan_cache`` (a mutable mapping, usually a session's bounded cache)
-    memoizes the compiled plan/kernel for the query conjunction itself
-    under ``(kb.rules_version, executor, fingerprint)``, so repeat point
-    lookups skip recompilation.  Honoured by the batch and kernel
-    executors of the seminaive engine.
+    memoizes the compiled kernel for the query conjunction itself under
+    ``(kb.rules_version, executor, fingerprint)``, so repeat point lookups
+    skip recompilation.  Honoured by the kernel executor of the seminaive
+    engine.
 
     ``guard`` governs the whole evaluation (deadline, fact budget,
     cancellation).  In strict mode exhaustion raises a
@@ -275,7 +272,7 @@ def _evaluate_conjunction(
         # fetch from the plan cache), execute over interned rows, and
         # externalize ids back into substitutions at the boundary.
         from repro.engine.kernels import (
-            compile_conjunction_kernel,
+            kernelize_conjunction,
             substitutions_from_kernel_batch,
         )
 
@@ -283,28 +280,14 @@ def _evaluate_conjunction(
         kernel = plan_cache.get(key) if plan_cache is not None else None
         if kernel is None:
             estimate = relation_cost_estimator(relation_view)
-            kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
+            kernel = kernelize_conjunction(
+                compile_conjunction(conjuncts, negated, estimate=estimate)
+            )
             if plan_cache is not None:
                 plan_cache[key] = kernel
         yield from substitutions_from_kernel_batch(
             kernel, kernel.execute_rows(relation_view, guard, tracer)
         )
-        return
-
-    if executor == "batch":
-        # The query conjunction itself runs set-at-a-time too: compile it
-        # (negated conjuncts become anti-join probes) and adapt the binding
-        # batch back into substitutions at the boundary.
-        key = _plan_cache_key(kb, executor, conjuncts, negated)
-        plan = plan_cache.get(key) if plan_cache is not None else None
-        if plan is None:
-            estimate = relation_cost_estimator(relation_view)
-            plan = compile_conjunction(conjuncts, negated, estimate=estimate)
-            if plan_cache is not None:
-                plan_cache[key] = plan
-        schema = plan.schema
-        for binding in plan.execute(relation_view, guard, tracer):
-            yield Substitution(dict(zip(schema, binding)))
         return
 
     def resolver(atom: Atom, theta: Substitution) -> Iterator[Substitution]:

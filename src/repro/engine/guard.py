@@ -1,7 +1,7 @@
 """Unified resource governance for query evaluation.
 
 Every evaluation path of the system — the semi-naive engine (both the
-``batch`` and ``nested`` executors), the top-down tabled engine, magic-sets
+``kernel`` and ``nested`` executors), the top-down tabled engine, magic-sets
 evaluation, incremental view maintenance, and the ``describe``
 derivation-tree search — can be governed by one :class:`ResourceGuard`
 carrying:

@@ -11,8 +11,8 @@ soon as they are ground.
 This is the *reference* executor: a depth-first nested-loops join, one
 substitution per binding.  The top-down engine and other resolver-based
 callers (provenance, incremental maintenance) are built on it, and the
-bottom-up engine keeps it as the ``executor="nested"`` fallback.  The
-set-at-a-time hash-join executor in :mod:`repro.engine.plan` is the fast
+bottom-up engine keeps it as the ``executor="nested"`` differential
+oracle.  The integer kernels of :mod:`repro.engine.kernels` are the fast
 path for bottom-up evaluation; :func:`order_conjuncts` and
 :func:`relation_cost_estimator` are shared by both.
 """

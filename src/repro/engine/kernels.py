@@ -1,13 +1,11 @@
-"""Plan-specialized integer join kernels: the ``executor="kernel"`` backend.
+"""Integer join kernels: the ``executor="kernel"`` backend.
 
-The batch executor (:mod:`repro.engine.plan`) is set-at-a-time but still
-joins over :class:`~repro.logic.terms.Constant` tuples — every hash-table
-probe and every dedup check re-hashes constants, and ``Constant.__hash__``
-allocates a tuple per call.  This module *kernelizes* a compiled physical
-plan into the integer domain of the process-wide symbol table
-(:data:`repro.catalog.symbols.SYMBOLS`):
+This module *kernelizes* a logical plan (:mod:`repro.engine.plan`) into
+the integer domain of the process-wide symbol table
+(:data:`repro.catalog.symbols.SYMBOLS`), so joins never hash
+:class:`~repro.logic.terms.Constant` objects:
 
-* every step is re-specialized over **symbol ids** — the build side reads
+* every step is specialized over **symbol ids** — the build side reads
   a relation's interned rows (:meth:`Relation.int_rows` /
   :meth:`Relation.column_block`), constant arguments are interned once at
   compile time, and join keys are plain ints (id-equality is exactly
@@ -20,15 +18,15 @@ plan into the integer domain of the process-wide symbol table
   the concrete slot indexes and interned constants — the hot loop carries
   no interpretation of step metadata.
 
-Join *order* and slot layout come from :func:`repro.engine.plan.compile_rule`
-/ :func:`~repro.engine.plan.compile_conjunction`, so the kernel executor is
-order- and safety-equivalent to the batch executor by construction; only
-the value domain and the loop bodies differ.
+Join *order*, slot layout and safety checking come from
+:func:`repro.engine.plan.compile_rule` /
+:func:`~repro.engine.plan.compile_conjunction`; only the value domain and
+the loop bodies live here.
 
 Order comparisons (``<``, ``>=``, …) are about *values*, not identities,
 so their closures externalize ids back to constants before comparing —
 they keep the exact semantics (including the incompatible-type
-:class:`~repro.errors.LogicError`) of :class:`repro.engine.plan._Compare`.
+:class:`~repro.errors.LogicError`) of the nested reference executor.
 
 :class:`IntTable` is the transient fact store the semi-naive engine uses
 in kernel mode: an append-only list/set pair of id tuples, presenting the
@@ -391,10 +389,10 @@ def _filtered_rows(relation, const_checks, dup_checks):
 class _KJoin:
     """A hash join specialized over symbol ids, with fused row filters.
 
-    Mirrors :class:`repro.engine.plan._HashJoin` — same key slots/columns,
-    same memoized build side — but the build reads interned rows and the
-    probe loop applies any fused comparison filters before a combined row
-    is admitted to the output batch.
+    Lowers :class:`repro.engine.plan._HashJoin` — same key slots/columns —
+    with a build side memoized per ``(relation, version)`` over interned
+    rows; the probe loop applies any fused comparison filters before a
+    combined row is admitted to the output batch.
     """
 
     __slots__ = (
@@ -843,7 +841,7 @@ def _compare_filter(step: _Compare, skip_check: bool = False) -> RowFilter:
 
     Equality/disequality compare ids directly (id-equality is
     constant-equality); order operators externalize to values and keep the
-    incompatible-type error of the batch executor.  *skip_check* elides
+    incompatible-type error of the nested executor.  *skip_check* elides
     that comparability check — only set when the type analysis proved both
     operands homogeneous (both numeric, both str, or both bool), in which
     case the check can never fire.
@@ -919,9 +917,9 @@ class ConjunctionKernel:
         self.described = described
 
     def execute(self, relations, guard=None, tracer=None) -> IntBatch:
-        """Run the kernel; guard checkpoints and ``join_probes`` accounting
-        follow :meth:`ConjunctionPlan.execute` — one tick per step boundary,
-        charged with the batch size."""
+        """Run the kernel; *guard* (a :class:`~repro.engine.guard.ResourceGuard`)
+        is checkpointed at every step boundary, charged with the batch size,
+        and *tracer* counts the same batch sizes as ``join_probes``."""
         batch: IntBatch = [()]
         for step in self.steps:
             if guard is not None:
@@ -1019,50 +1017,6 @@ def _strip_delta(predicate: str) -> str:
     return predicate
 
 
-def _rule_var_domains(rule: Rule, summary):
-    """Per-variable abstract domains of one rule body under *summary*.
-
-    Delta-prefixed body atoms (semi-naive rewrites) read the base
-    predicate's column domains — a delta is a subset of the full relation
-    — so delta variants share the original rule's memo entry, keyed on
-    the delta-stripped rule text.  The memo lives on the summary itself:
-    repeat compiles against an unchanged knowledge base skip the
-    abstract evaluation entirely.
-
-    Returns the *pre-guard* domains (positive atoms only): using the
-    comparison-narrowed domains to justify skipping a comparison's own
-    comparability check would be circular — ``X < 1`` narrows ``X`` to
-    numeric even when the column also holds strings.
-    """
-    key = ("var_domains", str(rule).replace(DELTA_PREFIX, ""))
-    cached = summary.memo.get(key)
-    if cached is not None:
-        return cached
-
-    from repro.analysis.absint.typeinfer import rule_types
-
-    types = summary.types
-
-    class _TypesView:
-        __slots__ = ()
-
-        @staticmethod
-        def get(predicate: str, default=None):
-            return types.get(_strip_delta(predicate), default)
-
-    domains = rule_types(rule, _TypesView()).atom_variables  # type: ignore[arg-type]
-    summary.memo[key] = domains
-    return domains
-
-
-def _operand_domain(slot, const, schema, var_domains):
-    from repro.analysis.absint.lattice import TOP, from_constant
-
-    if slot is None:
-        return from_constant(const)
-    return var_domains.get(schema[slot], TOP)
-
-
 def _order_check_skippable(left, right) -> bool:
     """Whether ``comparable()`` is provably redundant for these domains.
 
@@ -1080,21 +1034,60 @@ def _order_check_skippable(left, right) -> bool:
     return False
 
 
-def kernelize_conjunction(
-    plan: ConjunctionPlan, summary=None, var_domains=None
-) -> ConjunctionKernel:
-    """Lower a compiled plan into the integer domain, fusing filters.
+class _SlotDomains:
+    """Per-slot abstract domains over the plan steps executed so far.
+
+    A slot's domain is the meet of the column domains of the joins that
+    have bound or probed it *before* the current step — exactly the rows
+    a comparison placed there can see.  Joins later in the plan (and the
+    comparisons themselves) never narrow it: using them to skip a
+    comparison's own comparability check would be unsound.  Delta atoms
+    read the base predicate's domains (a delta is a subset of it).
+    """
+
+    def __init__(self, summary) -> None:
+        self._summary = summary
+        self.domains: list = []
+
+    def join(self, step: _HashJoin) -> None:
+        def column(index: int):
+            return self._summary.column_domain(_strip_delta(step.predicate), index)
+
+        for slot, col in zip(step.key_slots, step.key_cols):
+            self.domains[slot] = self.domains[slot].meet(column(col))
+        for col in step.out_cols:
+            domain = column(col)
+            for left, right in step.dup_checks:
+                if left == col:
+                    domain = domain.meet(column(right))
+            self.domains.append(domain)
+
+    def bind(self, step: _Bind) -> None:
+        self.domains.append(self.operand(step.source_slot, step.source_const))
+
+    def operand(self, slot: int | None, const: Constant | None):
+        from repro.analysis.absint.lattice import from_constant
+
+        if slot is None:
+            return from_constant(const)  # type: ignore[arg-type]
+        return self.domains[slot]
+
+
+def kernelize_conjunction(plan: ConjunctionPlan, summary=None) -> ConjunctionKernel:
+    """Lower a logical plan into the integer domain, fusing filters.
 
     A comparison step whose predecessor (after lowering) is a join is
     folded into that join's probe loop; chains of comparisons after one
     join all fuse, since filters do not change the slot schema.
 
     With an :class:`~repro.analysis.absint.summary.AnalysisSummary` the
-    lowering additionally specializes from proven facts: order comparisons
-    whose operand domains (*var_domains*, keyed by schema variable) are
-    homogeneous drop the per-row comparability check, and single-key joins
-    whose key column domain is proven compact get the dense-remap hint.
+    lowering additionally specializes from proven facts: an order
+    comparison whose operands are homogeneous over the joins placed
+    before it (:class:`_SlotDomains`) drops the per-row comparability
+    check, and single-key joins whose key column domain is proven compact
+    get the dense-remap hint.
     """
+    slot_domains = _SlotDomains(summary) if summary is not None else None
     steps: list = []
     described: list[str] = []
     for step, line in zip(plan.steps, plan.described):
@@ -1113,6 +1106,8 @@ def kernelize_conjunction(
                     _strip_delta(step.predicate), step.key_cols[0]
                 )
                 kjoin.dense_hint = compact is not None
+            if slot_domains is not None:
+                slot_domains.join(step)
             steps.append(kjoin)
             described.append(line)
         elif isinstance(step, _Bind):
@@ -1121,19 +1116,19 @@ def kernelize_conjunction(
                 if step.source_const is None
                 else SYMBOLS.intern(step.source_const)
             )
+            if slot_domains is not None:
+                slot_domains.bind(step)
             steps.append(_KBind(step.source_slot, source_id))
             described.append(line)
         elif isinstance(step, _Compare):
-            skip_check = False
-            if var_domains is not None and step.op not in ("=", "!="):
-                skip_check = _order_check_skippable(
-                    _operand_domain(
-                        step.left_slot, step.left_const, plan.schema, var_domains
-                    ),
-                    _operand_domain(
-                        step.right_slot, step.right_const, plan.schema, var_domains
-                    ),
+            skip_check = (
+                slot_domains is not None
+                and step.op not in ("=", "!=")
+                and _order_check_skippable(
+                    slot_domains.operand(step.left_slot, step.left_const),
+                    slot_domains.operand(step.right_slot, step.right_const),
                 )
+            )
             check = _compare_filter(step, skip_check=skip_check)
             spec = _vector_spec(step)
             if steps and isinstance(steps[-1], _KJoin):
@@ -1159,43 +1154,31 @@ def kernelize_conjunction(
     return ConjunctionKernel(plan.schema, steps, described)
 
 
+def kernelize_rule(plan: RulePlan, summary=None) -> RuleKernel:
+    """Lower a rule plan: the body's kernel plus an id-domain head template."""
+    template: list[tuple[bool, int]] = [
+        (True, SYMBOLS.intern(value)) if is_const else (is_const, value)  # type: ignore[arg-type]
+        for is_const, value in plan.head_template
+    ]
+    return RuleKernel(plan.rule, kernelize_conjunction(plan.plan, summary), template)
+
+
 def compile_conjunction_kernel(
     conjuncts: Sequence[Atom],
     negated: Sequence[Atom] = (),
     estimate: CostEstimator | None = None,
     summary=None,
 ) -> ConjunctionKernel:
-    """Compile a conjunction straight to an integer kernel.
-
-    Ordering, slot layout, and safety checking are those of
-    :func:`repro.engine.plan.compile_conjunction`; the result is its
-    kernelized lowering (analysis-specialized when *summary* is given).
-    """
+    """Compile a conjunction straight to an integer kernel."""
     plan = compile_conjunction(conjuncts, negated, estimate=estimate)
-    var_domains = None
-    if summary is not None:
-        var_domains = _rule_var_domains(
-            Rule(Atom("__query", plan.schema), list(conjuncts), list(negated)),
-            summary,
-        )
-    return kernelize_conjunction(plan, summary=summary, var_domains=var_domains)
+    return kernelize_conjunction(plan, summary)
 
 
 def compile_rule_kernel(
     rule: Rule, estimate: CostEstimator | None = None, summary=None
 ) -> RuleKernel:
     """Compile one rule to an integer kernel with head projection."""
-    plan: RulePlan = compile_rule(rule, estimate=estimate)
-    template: list[tuple[bool, int]] = [
-        (True, SYMBOLS.intern(value)) if is_const else (is_const, value)  # type: ignore[arg-type]
-        for is_const, value in plan.head_template
-    ]
-    var_domains = _rule_var_domains(rule, summary) if summary is not None else None
-    return RuleKernel(
-        rule,
-        kernelize_conjunction(plan.plan, summary=summary, var_domains=var_domains),
-        template,
-    )
+    return kernelize_rule(compile_rule(rule, estimate=estimate), summary)
 
 
 def substitutions_from_kernel_batch(kernel: ConjunctionKernel, batch: IntBatch):

@@ -1,52 +1,43 @@
-"""Set-at-a-time physical plans for rule bodies and query conjunctions.
+"""Logical plans for rule bodies and query conjunctions.
 
-The tuple-at-a-time executor in :mod:`repro.engine.joins` resolves one
-binding at a time, allocating a :class:`Substitution` per extension.  This
-module compiles a conjunction *once* into a physical plan — join order
-chosen by the cardinality estimator, then executed as **hash joins** over
-whole :class:`Relation` batches:
+A conjunction is compiled *once* into a plan: the join order chosen by the
+cardinality estimator, a slot layout (the ordered variables bound so far),
+and one step record per conjunct:
 
-* each positive atom becomes a :class:`_HashJoin` step keyed on the columns
-  shared with already-bound variables, with constant arguments and repeated
-  variables applied as build-side filters;
-* comparisons become vectorized filter steps (:class:`_Compare`) placed at
-  the earliest position where their operands are ground, and ``=`` with one
-  unbound side becomes a :class:`_Bind` step extending the batch schema;
+* each positive atom becomes a :class:`_HashJoin` keyed on the columns
+  shared with already-bound variables, with constant arguments and
+  repeated variables recorded as build-side filters;
+* comparisons become filter steps (:class:`_Compare`) placed at the
+  earliest position where their operands are ground, and ``=`` with one
+  unbound side becomes a :class:`_Bind` step extending the slot schema;
 * negated atoms become anti-join probes (:class:`_AntiJoin`) after the
   positive body has bound their variables.
 
-Intermediate results are plain lists of constant tuples over a *slot
-schema* (the ordered list of variables bound so far) — no substitution
-objects on the hot path.  Build-side hash tables are memoized per step and
-invalidated through :attr:`Relation.version`, so a stable EDB relation is
-hashed once per plan no matter how many delta iterations probe it.
-
-Plans are compiled per ``(rule, delta-position)`` by the semi-naive engine
-and cached for the lifetime of a stratum evaluation (see
-:meth:`SemiNaiveEngine._plan_for`).
+Plans carry no runtime: :func:`repro.engine.kernels.kernelize_conjunction`
+lowers them to integer join kernels over interned symbol ids, and
+``explain`` prints their ``described`` lines.  The tuple-at-a-time
+reference executor (:mod:`repro.engine.joins`) solves conjunctions without
+a plan and serves as the differential oracle.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from repro.errors import ArityError, SafetyError
-from repro.catalog.relation import Relation, Row
+from repro.errors import SafetyError
+from repro.catalog.relation import Relation
 from repro.engine.joins import CostEstimator, order_conjuncts
 from repro.logic.atoms import Atom
-from repro.logic.builtins import comparable
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable, is_constant
 
-#: Executor selector values accepted by the public API: the batch
-#: (set-at-a-time hash join) executor, the tuple-at-a-time nested-loop
-#: reference executor, and the integer-interned kernel executor
-#: (:mod:`repro.engine.kernels`).
-EXECUTORS = ("batch", "nested", "kernel")
+#: Executor selector values accepted by the public API: the tuple-at-a-time
+#: nested-loop reference executor (:mod:`repro.engine.joins`) and the
+#: integer-interned kernel executor (:mod:`repro.engine.kernels`).
+EXECUTORS = ("nested", "kernel")
 
-#: A batch: bindings for the plan's slot schema, one constant per slot.
-Batch = list[tuple]
+#: The executor used when callers pass ``executor=None``.
+DEFAULT_EXECUTOR = "kernel"
 
 #: Marker prefix distinguishing a delta occurrence inside a rewritten body
 #: (shared by the semi-naive engine and the analysis-aware estimator).
@@ -55,13 +46,6 @@ DELTA_PREFIX = "\x7fdelta\x7f:"
 #: Accessor from predicate name to its current relation (``None`` =
 #: undefined predicate, i.e. an empty extension).
 RelationView = Callable[[str], Relation | None]
-
-_ORDER_OPS: dict[str, Callable[[object, object], bool]] = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 
 def check_executor(executor: str) -> None:
@@ -74,33 +58,10 @@ def check_executor(executor: str) -> None:
         )
 
 
-#: The process default when no executor is requested: the integer-interned
-#: kernel executor (fastest across the benchmark suite; the batch and
-#: nested executors remain as explicit escape hatches).
-DEFAULT_EXECUTOR = "kernel"
-
-
-def default_executor() -> str:
-    """The executor used when callers pass ``executor=None``.
-
-    The ``REPRO_EXECUTOR`` environment variable overrides the built-in
-    default (one of ``batch``/``nested``/``kernel``), so a deployment can
-    flip engines without touching call sites; an unknown value raises
-    :class:`~repro.errors.EngineError` at first use.
-    """
-    import os
-
-    executor = os.environ.get("REPRO_EXECUTOR")
-    if executor is None:
-        return DEFAULT_EXECUTOR
-    check_executor(executor)
-    return executor
-
-
 def resolve_executor(executor: str | None) -> str:
     """Validate an explicit executor or resolve ``None`` to the default."""
     if executor is None:
-        return default_executor()
+        return DEFAULT_EXECUTOR
     check_executor(executor)
     return executor
 
@@ -146,20 +107,16 @@ def analysis_estimator(relation_for: RelationView, summary) -> CostEstimator:
 
 
 class _HashJoin:
-    """Join the batch against one relation, hashing on shared variables.
+    """Join the bindings against one relation, keyed on shared variables.
 
-    The build side (the relation) is filtered by constant arguments and
-    intra-atom repeated variables, projected to the columns that bind new
-    variables, and hashed on the join-key columns.  The hash table is
-    memoized and reused while the relation's :attr:`~Relation.version` is
-    unchanged — the common case for EDB relations probed across many delta
-    iterations.
+    Constant arguments and intra-atom repeated variables become build-side
+    filters (``const_checks`` / ``dup_checks``); ``out_cols`` are the
+    columns that bind new variables, appended to the slot schema in order.
     """
 
     __slots__ = (
         "predicate", "arity", "key_slots", "key_cols",
         "const_checks", "dup_checks", "out_cols",
-        "_cache_rel", "_cache_ver", "_cache_table",
     )
 
     def __init__(
@@ -179,87 +136,6 @@ class _HashJoin:
         self.const_checks = const_checks
         self.dup_checks = dup_checks
         self.out_cols = out_cols
-        self._cache_rel: Relation | None = None
-        self._cache_ver = -1
-        self._cache_table: object = None
-
-    def _row_passes(self, row: Row) -> bool:
-        for col, value in self.const_checks:
-            if row[col] != value:
-                return False
-        for left, right in self.dup_checks:
-            if row[left] != row[right]:
-                return False
-        return True
-
-    def _build(self, relation: Relation) -> object:
-        """The (memoized) build side: a hash table, or a row list if keyless."""
-        version = relation.version
-        if self._cache_rel is relation and self._cache_ver == version:
-            return self._cache_table
-        out_cols = self.out_cols
-        if not self.key_cols:
-            table: object = [
-                tuple(row[c] for c in out_cols)
-                for row in relation
-                if self._row_passes(row)
-            ]
-        elif len(self.key_cols) == 1:
-            key_col = self.key_cols[0]
-            single: dict[Constant, list[tuple]] = {}
-            for row in relation:
-                if self._row_passes(row):
-                    single.setdefault(row[key_col], []).append(
-                        tuple(row[c] for c in out_cols)
-                    )
-            table = single
-        else:
-            key_cols = self.key_cols
-            multi: dict[tuple, list[tuple]] = {}
-            for row in relation:
-                if self._row_passes(row):
-                    multi.setdefault(
-                        tuple(row[c] for c in key_cols), []
-                    ).append(tuple(row[c] for c in out_cols))
-            table = multi
-        self._cache_rel = relation
-        self._cache_ver = version
-        self._cache_table = table
-        return table
-
-    def run(self, batch: Batch, relations: RelationView) -> Batch:
-        relation = relations(self.predicate)
-        if relation is None or len(relation) == 0:
-            return []
-        if relation.arity != self.arity:
-            raise ArityError(
-                f"atom {self.predicate}/{self.arity} does not match relation "
-                f"arity {relation.arity}"
-            )
-        table = self._build(relation)
-        result: Batch = []
-        append = result.append
-        if not self.key_slots:
-            for binding in batch:
-                for extension in table:  # type: ignore[union-attr]
-                    append(binding + extension)
-        elif len(self.key_slots) == 1:
-            slot = self.key_slots[0]
-            get = table.get  # type: ignore[union-attr]
-            for binding in batch:
-                matches = get(binding[slot])
-                if matches:
-                    for extension in matches:
-                        append(binding + extension)
-        else:
-            slots = self.key_slots
-            get = table.get  # type: ignore[union-attr]
-            for binding in batch:
-                matches = get(tuple(binding[s] for s in slots))
-                if matches:
-                    for extension in matches:
-                        append(binding + extension)
-        return result
 
 
 class _Bind:
@@ -271,20 +147,11 @@ class _Bind:
         self.source_slot = source_slot
         self.source_const = source_const
 
-    def run(self, batch: Batch, relations: RelationView) -> Batch:
-        if self.source_slot is not None:
-            slot = self.source_slot
-            return [binding + (binding[slot],) for binding in batch]
-        extension = (self.source_const,)
-        return [binding + extension for binding in batch]
-
 
 class _Compare:
-    """A ground comparison applied as a filter over the whole batch.
+    """A comparison filter, placed where both operands are ground.
 
-    Semantics match :func:`repro.logic.builtins.evaluate_comparison`:
-    equality and disequality are defined across all constants, order
-    operators require type-compatible operands.
+    Each operand is a slot index or a constant (the other is ``None``).
     """
 
     __slots__ = ("op", "left_slot", "left_const", "right_slot", "right_const")
@@ -303,47 +170,11 @@ class _Compare:
         self.right_slot = right_slot
         self.right_const = right_const
 
-    def _operand(self, which: str) -> Callable[[tuple], Constant]:
-        slot = self.left_slot if which == "left" else self.right_slot
-        const = self.left_const if which == "left" else self.right_const
-        if slot is not None:
-            return lambda binding, s=slot: binding[s]
-        return lambda binding, c=const: c  # type: ignore[misc]
-
-    def run(self, batch: Batch, relations: RelationView) -> Batch:
-        left = self._operand("left")
-        right = self._operand("right")
-        op = self.op
-        if op == "=":
-            return [b for b in batch if left(b) == right(b)]
-        if op == "!=":
-            return [b for b in batch if left(b) != right(b)]
-        compare = _ORDER_OPS[op]
-        result: Batch = []
-        for binding in batch:
-            l, r = left(binding), right(binding)
-            if not comparable(l, r):
-                from repro.errors import LogicError
-
-                raise LogicError(
-                    f"cannot order-compare {l!r} and {r!r} (incompatible types)"
-                )
-            if compare(l.value, r.value):
-                result.append(binding)
-        return result
-
 
 class _AntiJoin:
-    """A negated atom: drop bindings with a matching row (closed world).
+    """A negated atom: drop bindings with a matching row (closed world)."""
 
-    The probe-key set is memoized like a hash-join build side.  An undefined
-    predicate is trivially absent, so the step is a no-op.
-    """
-
-    __slots__ = (
-        "predicate", "arity", "key_slots", "key_cols", "const_checks",
-        "_cache_rel", "_cache_ver", "_cache_keys",
-    )
+    __slots__ = ("predicate", "arity", "key_slots", "key_cols", "const_checks")
 
     def __init__(
         self,
@@ -358,51 +189,13 @@ class _AntiJoin:
         self.key_slots = key_slots
         self.key_cols = key_cols
         self.const_checks = const_checks
-        self._cache_rel: Relation | None = None
-        self._cache_ver = -1
-        self._cache_keys: set | None = None
-
-    def _keys(self, relation: Relation) -> set:
-        version = relation.version
-        if self._cache_rel is relation and self._cache_ver == version:
-            return self._cache_keys  # type: ignore[return-value]
-        key_cols = self.key_cols
-        consts = self.const_checks
-        keys: set = set()
-        for row in relation:
-            if all(row[c] == v for c, v in consts):
-                keys.add(tuple(row[c] for c in key_cols))
-        self._cache_rel = relation
-        self._cache_ver = version
-        self._cache_keys = keys
-        return keys
-
-    def run(self, batch: Batch, relations: RelationView) -> Batch:
-        relation = relations(self.predicate)
-        if relation is None or len(relation) == 0:
-            return batch
-        if relation.arity != self.arity:
-            raise ArityError(
-                f"negated atom {self.predicate}/{self.arity} does not match "
-                f"relation arity {relation.arity}"
-            )
-        keys = self._keys(relation)
-        if not keys:
-            return batch
-        slots = self.key_slots
-        return [
-            binding
-            for binding in batch
-            if tuple(binding[s] for s in slots) not in keys
-        ]
 
 
 class ConjunctionPlan:
-    """A compiled physical plan for one conjunction (plus negated atoms).
+    """The logical plan for one conjunction (plus negated atoms).
 
-    ``schema`` is the ordered tuple of variables the output batch binds,
-    one slot per variable.  :meth:`execute` returns the satisfying binding
-    tuples under the relations currently visible through the view.
+    ``schema`` is the ordered tuple of variables the plan binds, one slot
+    per variable; ``steps`` are the step records above, in execution order.
     ``described`` carries one human-readable line per step, recorded at
     compile time (when the slot→variable mapping is known) for ``explain``.
     """
@@ -419,25 +212,13 @@ class ConjunctionPlan:
         self.steps = steps
         self.described = described or []
 
-    def execute(self, relations: RelationView, guard=None, tracer=None) -> Batch:
-        """Run the plan; *guard* (a :class:`~repro.engine.guard.ResourceGuard`)
-        is checkpointed at every step boundary, charged with the batch size.
-        *tracer* (a :class:`~repro.obs.trace.Tracer`) accumulates the same
-        per-step batch sizes as the ``join_probes`` counter."""
-        batch: Batch = [()]
-        for step in self.steps:
-            if guard is not None:
-                guard.tick(len(batch))
-            if tracer is not None:
-                tracer.count("join_probes", len(batch))
-            batch = step.run(batch, relations)
-            if not batch:
-                return []
-        return batch
-
 
 class RulePlan:
-    """A conjunction plan plus the head projection for one rule."""
+    """A conjunction plan plus the head projection for one rule.
+
+    ``head_template`` holds one ``(is_const, value)`` pair per head
+    argument: a constant, or the slot index the argument reads.
+    """
 
     __slots__ = ("rule", "plan", "head_template")
 
@@ -451,26 +232,13 @@ class RulePlan:
         self.plan = plan
         self.head_template = head_template
 
-    def execute(self, relations: RelationView, guard=None, tracer=None) -> list[Row]:
-        batch = self.plan.execute(relations, guard, tracer)
-        if not batch:
-            return []
-        template = self.head_template
-        return [
-            tuple(
-                value if is_const else binding[value]  # type: ignore[index]
-                for is_const, value in template
-            )
-            for binding in batch
-        ]
-
 
 def compile_conjunction(
     conjuncts: Sequence[Atom],
     negated: Sequence[Atom] = (),
     estimate: CostEstimator | None = None,
 ) -> ConjunctionPlan:
-    """Compile a conjunction into a physical plan.
+    """Compile a conjunction into a logical plan.
 
     The join order comes from :func:`order_conjuncts` (cardinality-aware
     when *estimate* is given), so comparisons are placed at the earliest
@@ -583,7 +351,7 @@ def compile_conjunction(
 
 
 def compile_rule(rule: Rule, estimate: CostEstimator | None = None) -> RulePlan:
-    """Compile one rule into a physical plan with head projection.
+    """Compile one rule into a logical plan with head projection.
 
     Raises :class:`SafetyError` when a head variable is not bound by the
     body (the derived head would not be ground).
@@ -602,17 +370,3 @@ def compile_rule(rule: Rule, estimate: CostEstimator | None = None) -> RulePlan:
             )
     return RulePlan(rule, plan, template)
 
-
-def substitutions_from_batch(
-    plan: ConjunctionPlan, batch: Iterable[tuple]
-) -> Iterable:
-    """Adapt a batch back into :class:`Substitution` objects (one per row).
-
-    Used where callers expect the tuple-at-a-time interface (e.g. the
-    public :func:`~repro.engine.evaluate.evaluate_conjunction`).
-    """
-    from repro.logic.substitution import Substitution
-
-    schema = plan.schema
-    for binding in batch:
-        yield Substitution(dict(zip(schema, binding)))

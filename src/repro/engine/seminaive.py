@@ -9,28 +9,24 @@ position at a time, so no derivation is recomputed.
 Evaluation is *relevance-restricted*: only predicates the query (transitively)
 depends on are materialised.
 
-Three executors drive rule bodies (the ``executor`` knob; ``None`` picks
-the process default, normally ``"kernel"`` — see
-:func:`repro.engine.plan.default_executor` and the ``REPRO_EXECUTOR``
-environment variable):
+Two executors drive rule bodies (the ``executor`` knob; ``None`` picks
+``"kernel"``):
 
-* ``"batch"`` — the set-at-a-time hash-join executor of
-  :mod:`repro.engine.plan`: each rule body is compiled once per
-  ``(rule, delta-position)`` into a physical plan, cached for the lifetime
-  of the stratum evaluation, and executed over whole relations;
-* ``"nested"`` — the tuple-at-a-time nested-loop reference executor of
-  :mod:`repro.engine.joins`; the join order is still computed once per
-  ``(rule, delta-position)`` rather than on every delta iteration.
-* ``"kernel"`` (default) — the integer-interned kernels of
-  :mod:`repro.engine.kernels`: the same compiled plans lowered to symbol
-  ids, with the whole stratum fixpoint running over id tuples and the
-  results externalized back into relations when the stratum completes.
-  When the numpy columnar backend is on (``REPRO_COLUMNAR_BACKEND=numpy``)
-  the fixpoint additionally runs *vectorized*: deltas stay 2-D ``int64``
+* ``"kernel"`` (default) — each rule body is compiled once per
+  ``(rule, delta-position)`` into a logical plan (:mod:`repro.engine.plan`)
+  and lowered to an integer join kernel (:mod:`repro.engine.kernels`); the
+  whole stratum fixpoint runs over symbol-id tuples and the results are
+  externalized back into relations when the stratum completes.  When the
+  numpy columnar backend is on (``REPRO_COLUMNAR_BACKEND=numpy``) the
+  fixpoint additionally runs *vectorized*: deltas stay 2-D ``int64``
   arrays between iterations, probes resolve whole columns at a time, and
-  per-iteration dedup is one batch ``np.unique`` pass
-  (counted by the ``probe_batches`` / ``dedup_batch_rows`` tracer
-  counters) followed by a membership check against the accumulated table.
+  per-iteration dedup is one batch ``np.unique`` pass (counted by the
+  ``probe_batches`` / ``dedup_batch_rows`` tracer counters) followed by a
+  membership check against the accumulated table;
+* ``"nested"`` — the tuple-at-a-time nested-loop reference executor of
+  :mod:`repro.engine.joins`, kept as the differential oracle; the join
+  order is still computed once per ``(rule, delta-position)`` rather than
+  on every delta iteration.
 """
 
 from __future__ import annotations
@@ -43,9 +39,17 @@ from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row
 from repro.engine.guard import ResourceGuard
 from repro.engine.joins import bind_row, join_conjunction, order_conjuncts, relation_cost_estimator
+from repro.engine.kernels import (
+    ArrayTable,
+    GrowTable,
+    IntTable,
+    RuleKernel,
+    _void_rows,
+    kernelize_rule,
+    unique_block,
+)
 from repro.engine.plan import (
     DELTA_PREFIX as _DELTA_PREFIX,
-    RulePlan,
     analysis_estimator,
     compile_rule,
     resolve_executor,
@@ -70,12 +74,9 @@ class SemiNaiveEngine:
         (ignored when an explicit *guard* is given).  Exceeding it raises
         :class:`~repro.errors.EvaluationLimitError`.
     executor:
-        ``"batch"`` for the set-at-a-time hash-join executor,
-        ``"nested"`` for the tuple-at-a-time reference executor,
-        ``"kernel"`` for the integer-interned kernel executor;
-        ``None`` (the default) resolves via
-        :func:`repro.engine.plan.default_executor` (normally ``kernel``,
-        overridable with ``REPRO_EXECUTOR``).
+        ``"kernel"`` (the default, also for ``None``) for the
+        integer-interned kernel executor, ``"nested"`` for the
+        tuple-at-a-time reference executor.
     guard:
         A :class:`~repro.engine.guard.ResourceGuard` governing the whole
         evaluation (deadline, fact/step/iteration budgets, cancellation).
@@ -122,12 +123,10 @@ class SemiNaiveEngine:
         self._derived: dict[str, Relation] = {}
         self._delta: dict[str, Relation] = {}
         self._evaluated: set[str] = set()
-        #: Per-stratum cache: (rule index, delta position) -> compiled plan
-        #: (batch executor), pre-ordered body (nested executor), or lowered
-        #: integer kernel (kernel executor).
-        self._plans: dict[tuple[int, int], RulePlan] = {}
+        #: Per-stratum cache: (rule index, delta position) -> pre-ordered
+        #: body (nested executor) or lowered integer kernel (kernel executor).
         self._orders: dict[tuple[int, int], list[Atom]] = {}
-        self._kernels: dict[tuple[int, int], object] = {}
+        self._kernels: dict[tuple[int, int], RuleKernel] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -278,18 +277,10 @@ class SemiNaiveEngine:
         """All head rows derivable from one rule under current relations.
 
         The join order is cardinality-aware and computed once per
-        ``(rule, delta-position)`` for the stratum; with the batch executor
-        the whole body runs as cached-plan hash joins.
+        ``(rule, delta-position)`` for the stratum.
         """
         guard = self._guard
         tracer = self._tracer
-        if self._executor == "batch":
-            plan = self._plans.get(plan_key)
-            if plan is None:
-                estimate = self._cost_estimator(self._relation_view)
-                plan = compile_rule(rule, estimate=estimate)
-                self._plans[plan_key] = plan
-            return plan.execute(self._relation_view, guard, tracer)
         ordered = self._orders.get(plan_key)
         if ordered is None:
             estimate = self._cost_estimator(self._relation_view)
@@ -308,6 +299,38 @@ class SemiNaiveEngine:
             tracer.count("join_probes", solutions)
         return rows
 
+    def _stratum_rules(
+        self, stratum: set[str]
+    ) -> tuple[list[Rule], list[tuple[int, int, Rule]]]:
+        """The stratum's rules, safety-checked, and their delta rewritings.
+
+        Each rewriting is ``(rule_index, position, rewritten)``: the rule
+        with its body atom at *position* — one whose predicate is in the
+        stratum — reading the previous iteration's delta instead.  They
+        are built once per stratum; an empty list means the stratum is not
+        recursive and one round reaches the fixpoint.
+        """
+        rules = [r for p in sorted(stratum) for r in self._kb.rules_for(p)]
+        for rule in rules:
+            check_rule_safety(rule)
+        rewritten: list[tuple[int, int, Rule]] = []
+        for rule_index, rule in enumerate(rules):
+            for position, atom in enumerate(rule.body):
+                if atom.predicate in stratum:
+                    body = list(rule.body)
+                    body[position] = Atom(_DELTA_PREFIX + atom.predicate, atom.args)
+                    rewritten.append((rule_index, position, rule.with_body(body)))
+        return rules, rewritten
+
+    def _kernel_for(self, rule: Rule, plan_key: tuple[int, int], view) -> RuleKernel:
+        """The rule's integer kernel, compiled once per stratum and plan key."""
+        kernel = self._kernels.get(plan_key)
+        if kernel is None:
+            plan = compile_rule(rule, estimate=self._cost_estimator(view))
+            kernel = kernelize_rule(plan, self._analysis_summary())
+            self._kernels[plan_key] = kernel
+        return kernel
+
     def _evaluate_stratum(self, stratum: set[str]) -> None:
         if self._executor == "kernel":
             np = numpy_backend()
@@ -316,12 +339,8 @@ class SemiNaiveEngine:
             else:
                 self._evaluate_stratum_kernel(stratum)
             return
-        kb = self._kb
-        rules = [r for p in sorted(stratum) for r in kb.rules_for(p)]
-        for rule in rules:
-            check_rule_safety(rule)
-        # Plans are cached for the lifetime of this stratum evaluation.
-        self._plans = {}
+        rules, rewritten_rules = self._stratum_rules(stratum)
+        # Join orders are cached for the lifetime of this stratum evaluation.
         self._orders = {}
 
         # Initial round: full evaluation (recursive atoms see empty relations).
@@ -343,23 +362,8 @@ class SemiNaiveEngine:
                 if tracer is not None and inserted:
                     tracer.count("facts_derived", inserted)
 
-        recursive_rules = [
-            (index, rule, [i for i, b in enumerate(rule.body) if b.predicate in stratum])
-            for index, rule in enumerate(rules)
-        ]
-        recursive_rules = [(i, r, occs) for i, r, occs in recursive_rules if occs]
-        if not recursive_rules:
+        if not rewritten_rules:
             return
-
-        # Pre-build each rule's delta rewritings once; the per-iteration work
-        # is pure plan execution.
-        rewritten_rules: list[tuple[int, int, Rule]] = []
-        for rule_index, rule, occurrences in recursive_rules:
-            for position in occurrences:
-                body = list(rule.body)
-                original = body[position]
-                body[position] = Atom(_DELTA_PREFIX + original.predicate, original.args)
-                rewritten_rules.append((rule_index, position, rule.with_body(body)))
 
         iteration = 0
         while any(delta_rows.values()):
@@ -401,24 +405,19 @@ class SemiNaiveEngine:
     def _evaluate_stratum_kernel(self, stratum: set[str]) -> None:
         """Integer-domain stratum fixpoint for ``executor="kernel"``.
 
-        Mirrors :meth:`_evaluate_stratum` step for step — same initial
-        round, same delta rewriting, same guard/tracer accounting — but
-        the stratum's derived and delta fact sets live as
+        Mirrors the nested path of :meth:`_evaluate_stratum` step for step —
+        same initial round, same delta rewriting, same guard/tracer
+        accounting — but the stratum's derived and delta fact sets live as
         :class:`~repro.engine.kernels.IntTable` id tuples for the whole
         fixpoint: no per-row coercion, journaling, or constant hashing on
         the hot path.  Rows are externalized back to constants and
         bulk-inserted into the derived relations when the stratum finishes.
         The flush runs on the way out even when a budget trips mid-fixpoint
         (bottom-up derivation is monotone, so the partial table is a sound
-        under-approximation — the same degrade contract as the other
-        executors).
+        under-approximation — the same degrade contract as the nested
+        executor).
         """
-        from repro.engine.kernels import IntTable, RuleKernel, compile_rule_kernel
-
-        kb = self._kb
-        rules = [r for p in sorted(stratum) for r in kb.rules_for(p)]
-        for rule in rules:
-            check_rule_safety(rule)
+        rules, rewritten_rules = self._stratum_rules(stratum)
         self._kernels = {}
         guard = self._guard
         tracer = self._tracer
@@ -436,15 +435,7 @@ class SemiNaiveEngine:
             return self._relation_view(predicate)
 
         def fire(rule: Rule, plan_key: tuple[int, int]) -> list[tuple[int, ...]]:
-            kernel = self._kernels.get(plan_key)
-            if kernel is None:
-                estimate = self._cost_estimator(kview)
-                kernel = compile_rule_kernel(
-                    rule, estimate=estimate, summary=self._analysis_summary()
-                )
-                self._kernels[plan_key] = kernel
-            assert isinstance(kernel, RuleKernel)
-            return kernel.execute(kview, guard, tracer)
+            return self._kernel_for(rule, plan_key, kview).execute(kview, guard, tracer)
 
         try:
             delta_sets: dict[str, set[tuple[int, ...]]] = {p: set() for p in stratum}
@@ -461,21 +452,8 @@ class SemiNaiveEngine:
                     if tracer is not None and inserted:
                         tracer.count("facts_derived", inserted)
 
-            recursive_rules = [
-                (index, rule, [i for i, b in enumerate(rule.body) if b.predicate in stratum])
-                for index, rule in enumerate(rules)
-            ]
-            recursive_rules = [(i, r, occs) for i, r, occs in recursive_rules if occs]
-            if not recursive_rules:
+            if not rewritten_rules:
                 return
-
-            rewritten_rules: list[tuple[int, int, Rule]] = []
-            for rule_index, rule, occurrences in recursive_rules:
-                for position in occurrences:
-                    body = list(rule.body)
-                    original = body[position]
-                    body[position] = Atom(_DELTA_PREFIX + original.predicate, original.args)
-                    rewritten_rules.append((rule_index, position, rule.with_body(body)))
 
             iteration = 0
             while any(delta_sets.values()):
@@ -542,19 +520,7 @@ class SemiNaiveEngine:
         when a budget trips mid-fixpoint (same sound-under-approximation
         contract as the scalar paths).
         """
-        from repro.engine.kernels import (
-            ArrayTable,
-            GrowTable,
-            RuleKernel,
-            _void_rows,
-            compile_rule_kernel,
-            unique_block,
-        )
-
-        kb = self._kb
-        rules = [r for p in sorted(stratum) for r in kb.rules_for(p)]
-        for rule in rules:
-            check_rule_safety(rule)
+        rules, rewritten_rules = self._stratum_rules(stratum)
         self._kernels = {}
         guard = self._guard
         tracer = self._tracer
@@ -577,15 +543,9 @@ class SemiNaiveEngine:
             return self._relation_view(predicate)
 
         def fire(rule: Rule, plan_key: tuple[int, int]):
-            kernel = self._kernels.get(plan_key)
-            if kernel is None:
-                estimate = self._cost_estimator(kview)
-                kernel = compile_rule_kernel(
-                    rule, estimate=estimate, summary=self._analysis_summary()
-                )
-                self._kernels[plan_key] = kernel
-            assert isinstance(kernel, RuleKernel)
-            return kernel.execute_block(kview, np, guard, tracer)
+            return self._kernel_for(rule, plan_key, kview).execute_block(
+                kview, np, guard, tracer
+            )
 
         def screen(predicate: str, fired, extra_seen=None):
             """Batch-dedup fired head rows; ``(array, keys)`` of new rows."""
@@ -630,21 +590,8 @@ class SemiNaiveEngine:
                             if tracer is not None:
                                 tracer.count("facts_derived", len(new_keys))
 
-            recursive_rules = [
-                (index, rule, [i for i, b in enumerate(rule.body) if b.predicate in stratum])
-                for index, rule in enumerate(rules)
-            ]
-            recursive_rules = [(i, r, occs) for i, r, occs in recursive_rules if occs]
-            if not recursive_rules:
+            if not rewritten_rules:
                 return
-
-            rewritten_rules: list[tuple[int, int, Rule]] = []
-            for rule_index, rule, occurrences in recursive_rules:
-                for position in occurrences:
-                    body = list(rule.body)
-                    original = body[position]
-                    body[position] = Atom(_DELTA_PREFIX + original.predicate, original.args)
-                    rewritten_rules.append((rule_index, position, rule.with_body(body)))
 
             iteration = 0
             while any(parts for parts in deltas.values()):

@@ -17,9 +17,8 @@ import itertools
 from typing import Sequence
 
 from repro.logic.atoms import Atom
-from repro.logic.substitution import Substitution
 from repro.logic.terms import Term, Variable
-from repro.logic.unify import match
+from repro.logic.unify import match_bindings
 
 
 class GeneralizationTable:
@@ -63,18 +62,17 @@ def _subsumes_conjunction(general: Sequence[Atom], specific: Sequence[Atom]) -> 
     """Whether *general* theta-subsumes *specific* (as atom sets)."""
     specific_set = list(specific)
 
-    def extend(theta: Substitution, remaining: list[Atom]) -> bool:
+    def extend(bindings: dict[Variable, Term], remaining: list[Atom]) -> bool:
         if not remaining:
             return True
         first, *rest = remaining
         for target in specific_set:
-            extended = match(theta.apply(first), target)
-            if extended is not None:
-                if extend(theta.compose(extended), rest):
-                    return True
+            extended = match_bindings(first, target, bindings)
+            if extended is not None and extend(extended, rest):
+                return True
         return False
 
-    return extend(Substitution.EMPTY, list(general))
+    return extend({}, list(general))
 
 
 def reduce_conjunction(formula: Sequence[Atom]) -> tuple[Atom, ...]:

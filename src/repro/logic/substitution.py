@@ -4,7 +4,9 @@ A :class:`Substitution` is immutable; ``bind`` and ``compose`` return new
 substitutions.  Applying a substitution to a term, atom, or sequence of atoms
 replaces bound variables; application is *idempotent* because bindings are
 kept fully resolved (no variable bound by the substitution ever appears in a
-stored binding's value).
+stored binding's value).  The one exception is the result of one-way
+matching (:meth:`Substitution.simultaneous`), whose values are terms of the
+match target and may reuse the pattern's variable names.
 """
 
 from __future__ import annotations
@@ -132,6 +134,20 @@ class Substitution:
         new_map[var] = term
         result = Substitution.__new__(Substitution)
         result._map = {v: t for v, t in new_map.items() if t != v}
+        return result
+
+    @classmethod
+    def simultaneous(cls, bindings: Mapping[Variable, Term]) -> "Substitution":
+        """A substitution applying *bindings* in one step, unresolved.
+
+        One-way matching builds these: the values are target terms, which
+        may mention the pattern's own variables (``{X->Y, Y->X}`` swaps two
+        variables).  Such a substitution need not be idempotent, so it is
+        meant to be applied (or composed), not extended with :meth:`bind`.
+        Identity bindings are dropped, as everywhere else.
+        """
+        result = cls.__new__(cls)
+        result._map = {v: t for v, t in bindings.items() if t != v}
         return result
 
     def compose(self, other: "Substitution") -> "Substitution":

@@ -16,7 +16,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.logic.atoms import Atom
 from repro.logic.substitution import Substitution
@@ -88,32 +88,41 @@ def unify_sequences(
     return result
 
 
-def match_terms(pattern: Term, target: Term, theta: Substitution) -> Substitution | None:
-    """Extend *theta* to match *pattern* onto *target* (one-way)."""
-    pattern = theta.apply_term(pattern)
-    if pattern == target:
-        return theta
-    if is_variable(pattern):
-        return theta.bind(pattern, target)  # type: ignore[arg-type]
-    return None
+def match_bindings(
+    pattern: Atom, target: Atom, bindings: Mapping[Variable, Term] | None = None
+) -> dict[Variable, Term] | None:
+    """One-way matching over a plain binding map, extending *bindings*.
+
+    Each pattern variable maps to the target term at its positions; the
+    map is never resolved through itself, so target variables that share
+    a name with pattern variables are values, not bindable variables.
+    Identity bindings (``X -> X``) are kept, so the map can be extended
+    consistently across several atoms (a homomorphism search).  Returns
+    ``None`` when no such map exists.
+    """
+    if pattern.predicate != target.predicate or pattern.arity != target.arity:
+        return None
+    result = dict(bindings) if bindings else {}
+    for p_arg, t_arg in zip(pattern.args, target.args):
+        if is_variable(p_arg):
+            if result.setdefault(p_arg, t_arg) != t_arg:  # type: ignore[arg-type]
+                return None
+        elif p_arg != t_arg:
+            return None
+    return result
 
 
 def match(pattern: Atom, target: Atom, theta: Substitution | None = None) -> Substitution | None:
     """One-way matching: substitution theta with ``pattern.theta == target``.
 
     Only variables of *pattern* are bound; variables of *target* are treated
-    as constants (they may appear as binding values).  Returns ``None`` when
-    no such substitution exists.
+    as constants (they may appear as binding values, even when they share a
+    name with a pattern variable: ``p(X, Y)`` matches ``p(Y, X)`` by the
+    swap ``{X->Y, Y->X}``).  *theta* pre-binds pattern variables.  Returns
+    ``None`` when no such substitution exists.
     """
-    if pattern.predicate != target.predicate or pattern.arity != target.arity:
-        return None
-    result = theta if theta is not None else Substitution.EMPTY
-    for p_arg, t_arg in zip(pattern.args, target.args):
-        extended = match_terms(p_arg, t_arg, result)
-        if extended is None:
-            return None
-        result = extended
-    return result
+    bindings = match_bindings(pattern, target, dict(theta.items()) if theta else None)
+    return None if bindings is None else Substitution.simultaneous(bindings)
 
 
 def variant(left: Atom, right: Atom) -> bool:

@@ -1,8 +1,9 @@
 """Pre-execution plan rendering: what a retrieve *would* do.
 
-``explain_plan`` compiles the same physical plans the engines cache at
-evaluation time (:mod:`repro.engine.plan`) and renders them — per stratum,
-per rule, per step — as text or JSON, *before* running anything.  Join
+``explain_plan`` compiles the same logical plans the engines cache at
+evaluation time (:mod:`repro.engine.plan`, lowered by
+:mod:`repro.engine.kernels`) and renders them — per stratum, per rule, per
+step — as text or JSON, *before* running anything.  Join
 orders and row estimates come from the shared cardinality estimator over
 the stored EDB relations; IDB sizes are unknown pre-execution, so the
 rendering is the cold-start plan (the engines re-estimate against
@@ -17,8 +18,8 @@ Engine coverage:
   path as evaluation) and the *rewritten* program's strata and plans are
   shown, plus rewrite statistics;
 * ``topdown`` — rules and the greedy conjunction order; the engine is
-  tuple-at-a-time and tabling is demand-driven, so there is no batch plan
-  to print.
+  tuple-at-a-time and tabling is demand-driven, so there is no kernel
+  plan to print.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.database import KnowledgeBase
 from repro.engine.joins import order_conjuncts, relation_cost_estimator
-from repro.engine.plan import compile_conjunction, compile_rule, resolve_executor
+from repro.engine.plan import compile_conjunction, resolve_executor
 from repro.errors import EngineError, SafetyError
 from repro.lang.ast import RetrieveStatement
 from repro.logic.atoms import Atom
@@ -225,8 +226,6 @@ def _analysis_entries(summary, predicates) -> list[PredicateAnalysis]:
 
 def _steps_for(conjuncts, negated, executor, estimate) -> list[str]:
     """Step lines for one conjunction under the chosen executor."""
-    if executor == "batch":
-        return list(compile_conjunction(conjuncts, negated, estimate=estimate).described)
     if executor == "kernel":
         from repro.engine.kernels import compile_conjunction_kernel
 
@@ -261,11 +260,7 @@ def _strata_for(
                 ]
                 if delta_positions:
                     recursive = True
-                if executor == "batch":
-                    plan = compile_rule(rule, estimate=estimate)
-                    steps = list(plan.plan.described)
-                else:
-                    steps = _steps_for(rule.body, rule.negated, executor, estimate)
+                steps = _steps_for(rule.body, rule.negated, executor, estimate)
                 rules.append(RuleExplanation(str(rule), steps, delta_positions))
         strata.append(StratumExplanation(len(strata) + 1, members, recursive, rules))
     return strata
@@ -352,12 +347,8 @@ def explain_plan(
         answer_variables = seen
     else:
         strata = _strata_for(kb, conjuncts + negated, executor, estimate)
+        query_steps = _steps_for(conjuncts, negated, executor, estimate)
         plan = compile_conjunction(conjuncts, negated, estimate=estimate)
-        query_steps = (
-            list(plan.described)
-            if executor == "batch"
-            else _steps_for(conjuncts, negated, executor, estimate)
-        )
         answer_variables = [str(v) for v in plan.schema]
 
     return QueryExplanation(

@@ -176,10 +176,9 @@ class Session:
         self.engine = engine
         self.style = style
         self.config = config
-        #: Bottom-up execution model for retrieve statements: "batch"
-        #: (set-at-a-time hash joins), "nested" (tuple-at-a-time), or
-        #: "kernel" (integer-interned join kernels; the default — see
-        #: repro.engine.plan.default_executor and REPRO_EXECUTOR).
+        #: Bottom-up execution model for retrieve statements: "kernel"
+        #: (integer-interned join kernels; the default) or "nested"
+        #: (the tuple-at-a-time reference executor).
         from repro.engine.plan import resolve_executor
 
         self.executor = resolve_executor(executor)

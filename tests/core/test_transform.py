@@ -151,6 +151,16 @@ class TestModifiedTransformation:
         computed = set(SemiNaiveEngine(transformed).derived_relation("path").rows())
         assert computed == expected
 
+    def test_variant_rules_rename_body_variables_consistently(self):
+        from repro.core.transform import _variant_rules
+
+        chain = parse_rule("p(X, Y) <- q(X, Z) and r(Z, Y).")
+        # Renaming every variable, body-only ones included, is a variant.
+        assert _variant_rules(chain, parse_rule("p(A, B) <- r(C, B) and q(A, C)."))
+        # Head renaming X->Z, Y->W collides with the body-only Z: q(Z, Z)
+        # is not a renaming of q(X, Z).
+        assert not _variant_rules(chain, parse_rule("p(Z, W) <- q(Z, Z) and r(Z, W)."))
+
     def test_modified_falls_back_to_standard(self):
         # No base rule matching the step: standard transformation is used.
         rules = [

@@ -118,7 +118,7 @@ class TestFactBudget:
         assert info.value.consumed >= 30
         assert isinstance(info.value, ReproError)
 
-    @pytest.mark.parametrize("executor", ["batch", "nested"])
+    @pytest.mark.parametrize("executor", ["kernel", "nested"])
     def test_degrade_returns_sound_partial(self, executor):
         kb = chain_kb(40)
         full = set(retrieve(kb, parse_atom("path(X, Y)")).rows)

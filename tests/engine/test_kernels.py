@@ -1,17 +1,19 @@
 """Unit tests for the integer join kernels (``executor="kernel"``).
 
-The kernel executor lowers compiled batch plans into symbol-id space
+The kernel executor lowers compiled logical plans into symbol-id space
 (:mod:`repro.engine.kernels`).  These tests pin the lowering itself:
-step-for-step answer parity with the batch plan, comparison fusion into
+answer parity with the nested reference executor, comparison fusion into
 the preceding join's probe loop, order-comparison semantics over
 externalized values (including the incompatible-type ``LogicError``),
-head projection, counter parity, and the :class:`IntTable` working store.
+the analysis-driven comparison-check elision, head projection, counter
+accounting, and the :class:`IntTable` working store.
 """
 
 import pytest
 
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.symbols import SYMBOLS
+from repro.engine.evaluate import evaluate_conjunction
 from repro.engine.kernels import (
     ConjunctionKernel,
     IntTable,
@@ -19,7 +21,7 @@ from repro.engine.kernels import (
     compile_rule_kernel,
     substitutions_from_kernel_batch,
 )
-from repro.engine.plan import compile_conjunction, compile_rule
+from repro.engine.plan import compile_conjunction
 from repro.errors import LogicError
 from repro.lang.parser import parse_atom, parse_rule
 from repro.logic.atoms import comparison
@@ -36,44 +38,49 @@ def kb():
     return base
 
 
+def nested_rows(kb, conjuncts, negated, schema):
+    """The nested reference executor's answers, as rows over *schema*."""
+    solutions = evaluate_conjunction(
+        kb, conjuncts, negated=negated, executor="nested"
+    )
+    return {tuple(theta.apply_term(v) for v in schema) for theta in solutions}
+
+
 def run_both(kb, conjuncts, negated=()):
-    """Execute a conjunction under batch and kernel; return both answer sets."""
-    view = kb.relation
-    plan = compile_conjunction(conjuncts, negated)
+    """Execute a conjunction under nested and kernel; return both answer sets."""
     kernel = compile_conjunction_kernel(conjuncts, negated)
-    batch_rows = set(plan.execute(view))
-    kernel_rows = {SYMBOLS.extern_row(row) for row in kernel.execute(view)}
-    return batch_rows, kernel_rows
+    kernel_rows = {SYMBOLS.extern_row(row) for row in kernel.execute(kb.relation)}
+    return nested_rows(kb, conjuncts, negated, kernel.schema), kernel_rows
 
 
 class TestConjunctionParity:
     def test_join_parity(self, kb):
-        batch, kernel = run_both(
+        nested, kernel = run_both(
             kb, [parse_atom("edge(X, Y)"), parse_atom("edge(Y, Z)")]
         )
-        assert kernel == batch and batch
+        assert kernel == nested and nested
 
     def test_constant_and_duplicate_arguments(self, kb):
-        batch, kernel = run_both(kb, [parse_atom("edge(a, X)")])
-        assert kernel == batch and batch
-        batch, kernel = run_both(kb, [parse_atom("edge(X, X)")])
-        assert kernel == batch == {(Constant("a"),)}
+        nested, kernel = run_both(kb, [parse_atom("edge(a, X)")])
+        assert kernel == nested and nested
+        nested, kernel = run_both(kb, [parse_atom("edge(X, X)")])
+        assert kernel == nested == {(Constant("a"),)}
 
     def test_negated_atom_parity(self, kb):
-        batch, kernel = run_both(
+        nested, kernel = run_both(
             kb,
             [parse_atom("edge(X, Y)")],
             negated=[parse_atom("edge(Y, X)")],
         )
-        assert kernel == batch and batch
+        assert kernel == nested and nested
 
     def test_bind_step_parity(self, kb):
         conjuncts = [
             parse_atom("edge(X, Y)"),
             comparison(Variable("Z"), "=", Constant("tag")),
         ]
-        batch, kernel = run_both(kb, conjuncts)
-        assert kernel == batch and batch
+        nested, kernel = run_both(kb, conjuncts)
+        assert kernel == nested and nested
 
 
 class TestComparisonFusion:
@@ -89,7 +96,7 @@ class TestComparisonFusion:
         assert len(kernel.steps) == len(plan.steps) - 1
         assert any(line.endswith("[fused]") for line in kernel.described)
         rows = {SYMBOLS.extern_row(r) for r in kernel.execute(kb.relation)}
-        assert rows == set(plan.execute(kb.relation))
+        assert rows == nested_rows(kb, conjuncts, (), kernel.schema)
         assert {row[0] for row in rows} == {Constant("b"), Constant("c")}
 
     def test_comparison_chain_all_fuses(self, kb):
@@ -106,16 +113,15 @@ class TestComparisonFusion:
 
     def test_order_comparison_on_incomparable_types_raises(self, kb):
         # score holds ints; comparing against text must raise the same
-        # LogicError the batch executor raises (ids are externalized for
+        # LogicError the nested executor raises (ids are externalized for
         # order comparisons, never compared as raw ints).
         conjuncts = [
             parse_atom("score(X, V)"),
             comparison(Variable("V"), "<", Constant("banana")),
         ]
-        plan = compile_conjunction(conjuncts)
         kernel = compile_conjunction_kernel(conjuncts)
         with pytest.raises(LogicError):
-            plan.execute(kb.relation)
+            nested_rows(kb, conjuncts, (), kernel.schema)
         with pytest.raises(LogicError):
             kernel.execute(kb.relation)
 
@@ -125,67 +131,75 @@ class TestComparisonFusion:
             parse_atom("edge(X, Y)"),
             comparison(Variable("X"), "!=", Variable("Y")),
         ]
-        batch, kernel = run_both(kb, conjuncts)
-        assert kernel == batch
+        nested, kernel = run_both(kb, conjuncts)
+        assert kernel == nested
         assert (Constant("a"), Constant("a")) not in kernel
 
 
 class TestAnalysisGuardSoundness:
-    """The analysis-informed check elision must not use circular evidence.
+    """The analysis-informed check elision must not use unsound evidence.
 
-    ``X < 1`` narrows ``X`` to numeric *inside the abstract evaluation of
-    the guard itself*; using that narrowed domain to skip the guard's
-    comparability check would turn the engine's ``LogicError`` on mixed
-    columns into a raw ``TypeError``.  The skip decision reads the
-    pre-guard (positive-atom) domains instead.
+    An order comparison may skip its comparability check only when its
+    operands are homogeneous over the joins the plan places *before* it.
+    Two kinds of evidence are unsound: the comparison's own narrowing
+    (``X < 1`` narrows ``X`` to numeric even when the column also holds
+    strings), and atoms joined only *after* the comparison (``e1(X)``
+    narrows ``X`` to ``{1}``, but the plan filters ``X < 1`` straight after
+    ``e0`` where ``X`` can still be ``a``).  Either would turn the engine's
+    ``LogicError`` on mixed columns into a raw ``TypeError``.
     """
 
     MIXED = "e0(a, a).\ne0(1, a).\nc0(X) <- e0(X, Y) and (X < 1).\n"
+    LATER_JOIN = (
+        "e0(a, a). e0(1, a). e1(b). e1(1).\n"
+        "c0(X) <- e0(X, Y) and e1(X) and (X < 1).\n"
+    )
 
     def test_mixed_column_keeps_logicerror(self):
         from repro import kb_from_program, retrieve
 
-        for executor in ("batch", "kernel"):
-            with pytest.raises(LogicError):
-                retrieve(kb_from_program(self.MIXED), parse_atom("c0(X)"),
-                         executor=executor)
+        for program in (self.MIXED, self.LATER_JOIN):
+            for executor in ("nested", "kernel"):
+                with pytest.raises(LogicError):
+                    retrieve(kb_from_program(program), parse_atom("c0(X)"),
+                             executor=executor)
 
     def test_pre_guard_domains_drive_skip_decision(self):
         from repro import kb_from_program
-        from repro.analysis.absint.lattice import from_constant
         from repro.analysis.absint.summary import summary_for
-        from repro.engine.kernels import (
-            _order_check_skippable,
-            _rule_var_domains,
-        )
+        from repro.engine.kernels import kernelize_conjunction
 
-        kb = kb_from_program(self.MIXED + "n(1). n(2).\nc1(X) <- n(X) and (X < 2).\n")
+        kb = kb_from_program(self.MIXED + "n(1). n(2).\n")
         summary = summary_for(kb)
-        three = from_constant(Constant(3))
 
-        mixed = _rule_var_domains(parse_rule("c0(X) <- e0(X, Y) and (X < 1)"), summary)
-        x = next(v for v in mixed if str(v) == "X")
-        assert not _order_check_skippable(mixed[x], three)
+        def fused_check(source):
+            rule = parse_rule(source)
+            plan = compile_conjunction(rule.body)
+            return kernelize_conjunction(plan, summary).steps[0].fused[0]
 
-        homogeneous = _rule_var_domains(parse_rule("c1(X) <- n(X) and (X < 2)"), summary)
-        x = next(v for v in homogeneous if str(v) == "X")
-        assert _order_check_skippable(homogeneous[x], three)
+        # Probe each closure with a row the analysis says cannot occur: a
+        # kept check raises LogicError, an elided one python's TypeError.
+        text = (SYMBOLS.intern(Constant("text")), SYMBOLS.intern(Constant("a")))
+        with pytest.raises(LogicError):
+            fused_check("c0(X) <- e0(X, Y) and (X < 1)")(text)
+        with pytest.raises(TypeError):
+            fused_check("c1(X) <- n(X) and (X < 2)")(text[:1])
 
 
 class TestRuleKernel:
     def test_head_projection_parity(self, kb):
         rule = parse_rule("linked(Y, X) <- edge(X, Y).")
-        batch = set(compile_rule(rule).execute(kb.relation))
+        nested = nested_rows(kb, rule.body, (), rule.head.args)
         kernel = compile_rule_kernel(rule)
         rows = {SYMBOLS.extern_row(r) for r in kernel.execute(kb.relation)}
-        assert rows == batch and rows
+        assert rows == nested and rows
 
     def test_constant_in_head(self, kb):
         rule = parse_rule("tagged(X, marker) <- edge(X, Y).")
-        batch = set(compile_rule(rule).execute(kb.relation))
+        nested = nested_rows(kb, rule.body, (), rule.head.args)
         kernel = compile_rule_kernel(rule)
         rows = {SYMBOLS.extern_row(r) for r in kernel.execute(kb.relation)}
-        assert rows == batch
+        assert rows == nested
         assert all(row[1] == Constant("marker") for row in rows)
 
 
@@ -198,14 +212,12 @@ class TestCounters:
             self.counters[name] = self.counters.get(name, 0) + value
 
     def test_join_probe_accounting_matches_batch(self, kb):
+        # Each step boundary charges the size of the batch entering it:
+        # 1 seed binding into edge(X, Y), then its 4 rows into edge(Y, Z).
         conjuncts = [parse_atom("edge(X, Y)"), parse_atom("edge(Y, Z)")]
-        batch_tracer, kernel_tracer = self._Tracer(), self._Tracer()
-        compile_conjunction(conjuncts).execute(kb.relation, tracer=batch_tracer)
-        compile_conjunction_kernel(conjuncts).execute(
-            kb.relation, tracer=kernel_tracer
-        )
-        assert kernel_tracer.counters == batch_tracer.counters
-        assert kernel_tracer.counters["join_probes"] > 0
+        tracer = self._Tracer()
+        compile_conjunction_kernel(conjuncts).execute(kb.relation, tracer=tracer)
+        assert tracer.counters == {"join_probes": 1 + 4}
 
 
 class TestSubstitutions:

@@ -157,7 +157,7 @@ def drive(scenario: str, make, run, snapshot=None):
     )
 
 
-def run_query(engine: str, executor: str = "batch"):
+def run_query(engine: str, executor: str = "kernel"):
     def run(kb, guard):
         result = retrieve(
             kb, parse_atom("path(X, Y)"), engine=engine, executor=executor, guard=guard
@@ -168,9 +168,6 @@ def run_query(engine: str, executor: str = "batch"):
 
 
 class TestQueryPathsLeaveKbUntouched:
-    def test_seminaive_batch(self):
-        drive("seminaive-batch", lambda: chain_kb(24), run_query("seminaive", "batch"))
-
     def test_seminaive_nested(self):
         drive("seminaive-nested", lambda: chain_kb(24), run_query("seminaive", "nested"))
 

@@ -1,7 +1,7 @@
 """Session-level compiled-plan cache behaviour.
 
-The :class:`repro.session.PlanCache` keeps compiled conjunction plans and
-kernels warm across queries.  Its key embeds ``kb.rules_version`` and the
+The :class:`repro.session.PlanCache` keeps compiled conjunction kernels
+warm across queries.  Its key embeds ``kb.rules_version`` and the
 executor, so rule changes invalidate implicitly while fact-only mutations
 keep plans warm — that is the payoff: a repeat point lookup after EDB
 churn misses the statement memo (keyed on relation versions) but skips
@@ -44,7 +44,7 @@ class TestPlanCacheLRU:
         assert set(cache) == {"a", "c"}
 
 
-@pytest.mark.parametrize("executor", ["batch", "kernel"])
+@pytest.mark.parametrize("executor", ["kernel"])
 class TestSessionPlanCache:
     def test_fact_mutation_keeps_plans_warm(self, executor):
         session = seeded_session(executor=executor)

@@ -73,6 +73,13 @@ class TestMatch:
         theta = match(Atom("p", ["X"]), Atom("p", ["Y"]))
         assert theta.apply_term(Variable("X")) == Variable("Y")
 
+    def test_target_variables_are_values(self):
+        # Target variables sharing pattern names are not re-bound.
+        theta = match(Atom("p", ["X", "Y"]), Atom("p", ["Y", "X"]))
+        assert theta.apply(Atom("p", ["X", "Y"])) == Atom("p", ["Y", "X"])
+        assert match(Atom("p", ["U", "Y", "Y"]), Atom("p", ["X", "U", "Y"])) is None
+        assert match(Atom("p", ["X", "X"]), Atom("p", ["Y", "a"])) is None
+
     def test_consistency_across_positions(self):
         assert match(Atom("p", ["X", "X"]), Atom("p", ["a", "b"])) is None
         theta = match(Atom("p", ["X", "X"]), Atom("p", ["a", "a"]))
@@ -82,6 +89,7 @@ class TestMatch:
 class TestVariant:
     def test_renamed_atoms_are_variants(self):
         assert variant(Atom("p", ["X", "Y"]), Atom("p", ["A", "B"]))
+        assert variant(Atom("p", ["X", "Y"]), Atom("p", ["Y", "X"]))
 
     def test_collapsing_is_not_variant(self):
         assert not variant(Atom("p", ["X", "Y"]), Atom("p", ["A", "A"]))

@@ -42,9 +42,9 @@ class TestGuardReconciliation:
         assert root.attributes["guard_complete"] is True
         assert len(root.find("iteration")) >= 1
 
-    def test_kernel_counters_match_batch(self):
+    def test_kernel_counters_match_nested(self):
         counters = {}
-        for executor in ("batch", "kernel"):
+        for executor in ("nested", "kernel"):
             session = traced_session(routing_kb(), executor=executor)
             session.query("retrieve reach(lax, X)")
             root = session.last_trace
@@ -53,7 +53,7 @@ class TestGuardReconciliation:
                 for name, value in root.totals().items()
                 if name in ("facts_derived", "delta_rows", "answer_rows")
             }
-        assert counters["kernel"] == counters["batch"]
+        assert counters["kernel"] == counters["nested"]
 
     def test_answer_rows_matches_result(self):
         session = traced_session(routing_kb())

@@ -34,7 +34,7 @@ from tests.property.test_engine_differential import (
 EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "30"))
 
 
-def _scan(kb, predicate, executor="batch"):
+def _scan(kb, predicate, executor):
     arity = kb.schema(predicate).arity
     subject = Atom(predicate, VARIABLES[:arity])
     return retrieve(kb, subject, executor=executor).to_set()
@@ -42,7 +42,7 @@ def _scan(kb, predicate, executor="batch"):
 
 def assert_planning_parity(kb, predicates):
     for predicate in predicates:
-        for executor in ("batch", "kernel"):
+        for executor in ("nested", "kernel"):
             with planning_override(True):
                 informed = _scan(kb, predicate, executor)
             with planning_override(False):
@@ -76,7 +76,7 @@ def test_inferred_domains_cover_derived_rows(program):
     for predicate in idb:
         domains = summary.column_domains(predicate)
         assert domains is not None
-        rows = _scan(kb, predicate)
+        rows = _scan(kb, predicate, "nested")
         for row in rows:
             for domain, value in zip(domains, row):
                 assert domain.contains(value), (

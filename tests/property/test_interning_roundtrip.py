@@ -72,16 +72,16 @@ class TestExecutorAnswerSets:
         edges=st.integers(3, 24),
         seed=st.integers(0, 1_000),
     )
-    def test_three_executors_agree_on_transitive_closure(self, nodes, edges, seed):
+    def test_executors_agree_on_closure(self, nodes, edges, seed):
         kb = random_graph_kb(
             nodes=nodes, edges=min(edges, nodes * (nodes - 1)), seed=seed
         )
         subject = Atom("path", [Variable("X"), Variable("Y")])
         answers = {
             executor: retrieve(kb, subject, executor=executor).to_set()
-            for executor in ("batch", "nested", "kernel")
+            for executor in ("nested", "kernel")
         }
-        assert answers["kernel"] == answers["batch"] == answers["nested"]
+        assert answers["kernel"] == answers["nested"]
 
 
 def _mixed_kb(rows):

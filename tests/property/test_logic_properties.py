@@ -5,7 +5,7 @@ comparison conjunctions; the properties are the algebraic laws the engines
 and the describe machinery silently rely on.
 """
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.logic.atoms import Atom
@@ -64,6 +64,15 @@ class TestSubstitutionLaws:
             assert term != variable
 
 
+#: Target variables share names with pattern variables.  Matching must
+#: treat them as values: the swap maps p(X, Y) onto p(Y, X), while the
+#: clash (Y would have to be both U and Y) has no match at all.
+SWAP_PATTERN = Atom("p", [Variable("X"), Variable("Y")])
+SWAP_TARGET = Atom("p", [Variable("Y"), Variable("X")])
+CLASH_PATTERN = Atom("p", [Variable("U"), Variable("Y"), Variable("Y")])
+CLASH_TARGET = Atom("p", [Variable("X"), Variable("U"), Variable("Y")])
+
+
 class TestUnificationLaws:
     @given(atoms(), atoms())
     def test_unifier_actually_unifies(self, left, right):
@@ -87,9 +96,19 @@ class TestUnificationLaws:
         assert found.apply(atom) == instance
 
     @given(atoms(), atoms())
+    @example(SWAP_PATTERN, SWAP_TARGET)
+    @example(CLASH_PATTERN, CLASH_TARGET)
     def test_match_implies_unify(self, pattern, target):
         if match(pattern, target) is not None:
             assert unify(pattern, target) is not None
+
+    @given(atoms(), atoms())
+    @example(SWAP_PATTERN, SWAP_TARGET)
+    @example(CLASH_PATTERN, CLASH_TARGET)
+    def test_match_maps_pattern_onto_target(self, pattern, target):
+        found = match(pattern, target)
+        if found is not None:
+            assert found.apply(pattern) == target
 
 
 class TestComparisonReasonerLaws:
