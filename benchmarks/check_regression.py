@@ -10,10 +10,9 @@ gate on in shared CI runners):
 2. **kernel executor** — re-runs the recursive chain/component scenarios
    under both executors and fails if the kernel's speedup over the nested
    reference drops below the absolute floor ``KERNEL_MIN_VS_NESTED``;
-3. **columnar pipeline** — re-runs the recursive scenarios at the large
-   tier with the numpy backend off vs on and fails if the median
-   kernel+numpy speedup over kernel-plain drops below
-   ``COLUMNAR_MIN_SPEEDUP`` (skipped when numpy is unavailable);
+3. **durability** — re-runs the bulk-insert pairing and fails if the
+   median per-round durable/plain ratio exceeds ``WAL_MAX_OVERHEAD`` or
+   log replay falls below ``REPLAY_MIN_ROWS_PER_S``;
 4. **analysis overhead** — re-runs repeat point queries with the planner
    consuming the cached abstract-interpretation summary vs the analysis
    flag off and fails if the cached-hit ratio exceeds
@@ -41,7 +40,6 @@ from run_benchmarks import (
     TIERS,
     analysis_metrics,
     cache_metrics,
-    columnar_metrics,
     durability_metrics,
     scenarios,
     server_metrics,
@@ -75,16 +73,6 @@ ANALYSIS_MAX_OVERHEAD = 1.02
 #: in the p99, which is deliberately not gated (it measures workload cost,
 #: not isolation).
 SERVER_MAX_P50_RATIO = 1.3
-
-#: Median kernel+numpy speedup over kernel-plain across the recursive
-#: scenarios at the large tier.  The median, not the min: the chain
-#: scenario is iteration-bound (hundreds of tiny deltas), so its ratio
-#: hovers near 1x by construction while the wide scenarios carry the win.
-#: Re-anchored from 1.5 when analysis-informed planning landed: the
-#: scalar kernel *denominator* got faster (better first-iteration join
-#: orders) while the vector path's absolute time was unchanged, so the
-#: ratio legitimately compressed.
-COLUMNAR_MIN_SPEEDUP = 1.3
 
 
 def kernel_gate(sizes, repeats: int) -> list[str]:
@@ -163,36 +151,6 @@ def server_gate(sizes, repeats: int) -> list[str]:
     return []
 
 
-def columnar_gate() -> list[str]:
-    """Large-tier floor for the vectorized columnar probe pipeline.
-
-    Re-measures the kernel executor with the numpy backend off vs on at
-    the large tier and fails when the median speedup across the recursive
-    scenarios falls below ``COLUMNAR_MIN_SPEEDUP``.  Skips (without
-    failing) when numpy is unavailable — the CI perf job installs numpy,
-    so there the gate always runs.
-    """
-    sizes = TIERS["large"]
-    fresh = columnar_metrics(sizes, sizes["repeats"])
-    if not fresh.get("available"):
-        print(f"{'columnar/vectorized':30s} skipped (numpy unavailable)")
-        return []
-    for name, entry in sorted(fresh["scenarios"].items()):
-        print(
-            f"{name:30s} numpy {entry['speedup']}x scalar kernel "
-            f"({entry['facts']} facts)"
-        )
-    median = fresh["median_speedup"] or 0.0
-    verdict = "ok" if median >= COLUMNAR_MIN_SPEEDUP else "REGRESSION"
-    print(
-        f"{'columnar/median':30s} measured {median:.2f}x  "
-        f"required >= {COLUMNAR_MIN_SPEEDUP:.1f}x  {verdict}"
-    )
-    if median < COLUMNAR_MIN_SPEEDUP:
-        return ["columnar/median"]
-    return []
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -241,15 +199,13 @@ def main(argv=None) -> int:
     failures.extend(analysis_gate(sizes, sizes["repeats"]))
     print()
     failures.extend(server_gate(sizes, sizes["repeats"]))
-    print()
-    failures.extend(columnar_gate())
 
     if failures:
         print(f"\nperf regression in: {', '.join(failures)}")
         return 1
     print(
         "\ncache warm-query speedups, kernel floors, durability budgets, "
-        "server isolation, and columnar floors all within bounds"
+        "analysis overhead, and server isolation all within bounds"
     )
     return 0
 

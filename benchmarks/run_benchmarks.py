@@ -23,11 +23,6 @@ sessions with the compiled-plan cache on vs off over a point lookup with
 EDB churn between queries — the regime where the statement memo misses
 but compiled plans stay warm.
 
-The ``columnar`` section pairs the kernel executor with the numpy columnar
-backend off vs on over the recursive scenarios at the ``large`` tier's
-sizes (>= 50k derived facts, where whole-column probes have headroom) and
-records the per-scenario and median speedups.
-
 The ``server`` section drives a real loopback query server (the ``dbk
 serve`` wiring) with concurrent clients: a read-only phase and a
 readers-under-writes phase over the same mixed retrieve/describe traffic,
@@ -73,10 +68,10 @@ from repro.lang.parser import parse_atom, parse_body
 OVERHEAD_PAIRS = 51
 
 #: Workload sizes per tier: smoke keeps CI fast, default is the tracked tier,
-#: large (>= 50k derived facts per recursive scenario) is where columnar
-#: vectorization headroom is visible.  The large tier skips the ``nested``
-#: reference executor — tuple-at-a-time evaluation at these sizes takes
-#: minutes and measures nothing the default tier doesn't already cover.
+#: large has >= 50k derived facts per recursive scenario.  The large tier
+#: skips the ``nested`` reference executor — tuple-at-a-time evaluation at
+#: these sizes takes minutes and measures nothing the default tier doesn't
+#: already cover.
 TIERS = {
     "smoke": {
         "chain_length": 30,
@@ -425,7 +420,9 @@ def durability_metrics(sizes, repeats: int) -> dict:
 
     ``wal_overhead`` pairs the same bulk mutation (one transaction
     inserting every fact, so the whole batch is one log record and one
-    fsync) against a plain in-memory knowledge base: the ratio is the
+    fsync) against a plain in-memory knowledge base over
+    ``OVERHEAD_PAIRS`` interleaved rounds whose order alternates: the
+    ratio is the median of the per-round durable/plain ratios — the
     durability tax on the mutation path, gated at <= 1.25x.
     ``replay`` rebuilds a directory whose state lives mostly in the log
     (many commits, no covering snapshot) and measures staged recovery:
@@ -448,18 +445,29 @@ def durability_metrics(sizes, repeats: int) -> dict:
             kb.add_facts("event", facts)
         return time.perf_counter() - start
 
-    plain = statistics.median(
-        timed_insert(KnowledgeBase("plain")) for _ in range(rounds)
-    )
-    durable_times = []
     scratch = tempfile.mkdtemp(prefix="dbk-bench-")
+
+    def durable_insert(index: int) -> float:
+        kb = open_durable(f"{scratch}/wal-{index}")
+        elapsed = timed_insert(kb)
+        kb.durability.log.close()
+        return elapsed
+
     try:
-        for index in range(rounds):
-            directory = f"{scratch}/wal-{index}"
-            kb = open_durable(directory)
-            durable_times.append(timed_insert(kb))
-            kb.durability.log.close()
-        durable = statistics.median(durable_times)
+        timed_insert(KnowledgeBase("warm-up"))  # interns the facts' constants
+        plain_times: list[float] = []
+        durable_times: list[float] = []
+        ratios: list[float] = []
+        for index in range(OVERHEAD_PAIRS):
+            if index % 2:
+                durable_s = durable_insert(index)
+                plain_s = timed_insert(KnowledgeBase("plain"))
+            else:
+                plain_s = timed_insert(KnowledgeBase("plain"))
+                durable_s = durable_insert(index)
+            plain_times.append(plain_s)
+            durable_times.append(durable_s)
+            ratios.append(durable_s / plain_s)
 
         # A log-heavy directory: committed batches, no covering snapshot.
         replay_dir = f"{scratch}/replay"
@@ -482,9 +490,9 @@ def durability_metrics(sizes, repeats: int) -> dict:
         shutil.rmtree(scratch, ignore_errors=True)
     return {
         "wal_overhead": {
-            "plain_median_s": round(plain, 6),
-            "durable_median_s": round(durable, 6),
-            "ratio": round(durable / plain, 3) if plain > 0 else None,
+            "plain_median_s": round(statistics.median(plain_times), 6),
+            "durable_median_s": round(statistics.median(durable_times), 6),
+            "ratio": round(statistics.median(ratios), 3),
             "rows": rows,
         },
         "replay": {
@@ -610,68 +618,6 @@ def server_metrics(sizes, repeats: int) -> dict:
     }
 
 
-#: The recursive scenarios the columnar (numpy on/off) pairing measures.
-COLUMNAR_SCENARIOS = (
-    "recursive/chain",
-    "recursive/component",
-    "recursive/random_graph",
-)
-
-
-def columnar_metrics(sizes, repeats: int) -> dict:
-    """Kernel-executor pairs with the numpy columnar backend off vs on.
-
-    Each recursive scenario is materialized twice under the kernel
-    executor — scalar probe loops vs the vectorized whole-column pipeline
-    — in the same process, so the speedup ratio is machine-independent.
-    ``median_speedup`` is the median ratio across the scenarios (chain is
-    iteration-bound with tiny deltas, so the median, not the min, is the
-    tracked number).  Returns ``{"available": False}`` when numpy cannot
-    be imported.
-    """
-    from repro.catalog.columnar import backend_override
-    from repro.errors import CatalogError
-
-    try:
-        with backend_override("numpy"):
-            pass
-    except CatalogError:
-        return {"available": False, "scenarios": {}}
-
-    runners = scenarios(sizes)
-    results: dict[str, dict] = {}
-    ratios: list[float] = []
-    for name in COLUMNAR_SCENARIOS:
-        runner = runners[name]
-        medians: dict[str, float] = {}
-        count = 0
-        for backend in ("python", "numpy"):
-            times = []
-            with backend_override(backend):
-                for _ in range(repeats):
-                    elapsed, count = runner("kernel")
-                    times.append(elapsed)
-            medians[backend] = statistics.median(times)
-        speedup = (
-            round(medians["python"] / medians["numpy"], 2)
-            if medians["numpy"] > 0
-            else None
-        )
-        results[name] = {
-            "plain_median_s": round(medians["python"], 6),
-            "numpy_median_s": round(medians["numpy"], 6),
-            "speedup": speedup,
-            "facts": count,
-        }
-        if speedup is not None:
-            ratios.append(speedup)
-    return {
-        "available": True,
-        "scenarios": results,
-        "median_speedup": round(statistics.median(ratios), 2) if ratios else None,
-    }
-
-
 def run_tier(tier: str, repeats: int | None = None) -> dict:
     sizes = TIERS[tier]
     repeats = repeats or sizes["repeats"]
@@ -696,14 +642,6 @@ def run_tier(tier: str, repeats: int | None = None) -> dict:
             speedups[name] = {
                 "kernel_vs_nested": round(medians["nested"] / medians["kernel"], 2)
             }
-    # The columnar pairing needs vectorization headroom to be visible, so
-    # it always measures at the large tier's sizes — except on smoke runs,
-    # which must stay fast and only sanity-check the pairing machinery.
-    columnar_tier = "smoke" if tier == "smoke" else "large"
-    columnar = columnar_metrics(
-        TIERS[columnar_tier], TIERS[columnar_tier]["repeats"]
-    )
-    columnar["tier"] = columnar_tier
     return {
         "meta": {
             "tier": tier,
@@ -720,7 +658,6 @@ def run_tier(tier: str, repeats: int | None = None) -> dict:
         "analysis": analysis_metrics(sizes, repeats),
         "durability": durability_metrics(sizes, repeats),
         "server": server_metrics(sizes, repeats),
-        "columnar": columnar,
     }
 
 
@@ -749,7 +686,6 @@ def append_history(report: dict, path: Path) -> None:
             "analysis": report["analysis"],
             "durability": report["durability"],
             "server": report["server"],
-            "columnar": report["columnar"],
         }
     )
     path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
@@ -829,17 +765,6 @@ def main(argv=None) -> int:
     print(
         f"{'server mixed/read p50':40s} {server['mixed_over_read_p50']}x"
     )
-    columnar = report["columnar"]
-    if columnar.get("available"):
-        for name, entry in sorted(columnar["scenarios"].items()):
-            label = f"columnar {name} [{columnar['tier']}]"
-            print(
-                f"{label:40s} numpy {entry['speedup']}x scalar "
-                f"({entry['facts']} facts)"
-            )
-        print(f"{'columnar median speedup':40s} {columnar['median_speedup']}x")
-    else:
-        print(f"{'columnar':40s} skipped (numpy unavailable)")
     print(f"\nwrote {args.output}")
     return 0
 

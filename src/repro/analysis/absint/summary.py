@@ -86,13 +86,6 @@ class AnalysisSummary:
         estimate = self.cards.get(predicate)
         return None if estimate is None else estimate.distinct
 
-    def compact_key(self, predicate: str, column: int) -> int | None:
-        """The column's exact distinct-value bound, when the enum facet
-        survived — the signal for dense-remap join keys."""
-        domain = self.column_domain(predicate, column)
-        bound = domain.distinct_bound()
-        return bound if bound is not None and bound > 0 else None
-
     def adornments(self, predicate: str) -> frozenset[str]:
         return self.modes.get(predicate, frozenset())
 

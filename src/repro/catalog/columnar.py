@@ -5,165 +5,20 @@ one ``array('q')`` (signed 64-bit) per column, holding symbol ids from the
 process-wide :data:`~repro.catalog.symbols.SYMBOLS` table.  Blocks are
 immutable snapshots stamped with the relation version they were built
 from; :meth:`Relation.column_block` memoizes one block per version.
-
-An optional numpy backend vectorizes constant-equality scans and, through
-:mod:`repro.engine.kernels`, the whole probe pipeline.  It engages only
-when *all* of the following hold:
-
-* the ``REPRO_COLUMNAR_BACKEND`` environment variable is ``numpy``
-  (feature flag, off by default),
-* numpy is importable (the import is gated — no hard dependency),
-* for per-block scans, the block has at least :func:`numpy_min_rows` rows
-  (below that the array round-trip costs more than the python loop it
-  replaces).  The floor defaults to :data:`NUMPY_MIN_ROWS` and is tunable
-  via the ``REPRO_NUMPY_MIN_ROWS`` environment variable (a non-negative
-  integer; benchmarks and tests set ``0``/``1`` to force the vector path
-  on small fixtures).
-
-Both environment variables are read **once** per process, on first use;
-the parsed decision is cached so hot loops never touch ``os.environ``.
-Tests and benchmarks switch modes with :func:`configure_backend` /
-:func:`backend_override` instead of mutating the environment mid-process.
-
-``array('q')`` supports the buffer protocol, so ``numpy.frombuffer`` wraps
-the existing storage without copying; :meth:`ColumnBlock.column_view`
-memoizes one such view per column so repeated probes don't re-wrap
-storage.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.errors import CatalogError
-
-__all__ = [
-    "ColumnBlock",
-    "NUMPY_MIN_ROWS",
-    "backend_override",
-    "configure_backend",
-    "numpy_backend",
-    "numpy_min_rows",
-    "reset_backend",
-]
-
-#: Default row floor: below this many rows the vectorized scan is not
-#: worth the conversion.  Override per process with ``REPRO_NUMPY_MIN_ROWS``
-#: or per call site with :func:`configure_backend`.
-NUMPY_MIN_ROWS = 1024
-
-
-class _BackendConfig:
-    """The parsed, per-process columnar backend decision."""
-
-    __slots__ = ("numpy", "min_rows")
-
-    def __init__(self, numpy, min_rows: int) -> None:
-        self.numpy = numpy
-        self.min_rows = min_rows
-
-
-_config: _BackendConfig | None = None
-
-
-def _import_numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy ships in CI images
-        return None
-    return numpy
-
-
-def _parse_min_rows(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise CatalogError(
-            f"REPRO_NUMPY_MIN_ROWS must be a non-negative integer, got {raw!r}"
-        )
-    return value
-
-
-def _config_from_env() -> _BackendConfig:
-    flag = os.environ.get("REPRO_COLUMNAR_BACKEND", "").lower()
-    numpy = _import_numpy() if flag == "numpy" else None
-    raw = os.environ.get("REPRO_NUMPY_MIN_ROWS")
-    min_rows = NUMPY_MIN_ROWS if raw is None else _parse_min_rows(raw)
-    return _BackendConfig(numpy, min_rows)
-
-
-def _current() -> _BackendConfig:
-    global _config
-    if _config is None:
-        _config = _config_from_env()
-    return _config
-
-
-def numpy_backend():
-    """The numpy module when the feature flag enables it, else ``None``."""
-    return _current().numpy
-
-
-def numpy_min_rows() -> int:
-    """The effective per-block row floor for vectorized scans."""
-    return _current().min_rows
-
-
-def configure_backend(backend: str | None, min_rows: int | None = None) -> None:
-    """Set the backend decision programmatically (tests, benchmarks).
-
-    ``backend`` is ``"numpy"`` to force the vector path on, ``"python"``
-    to force it off, or ``None`` to forget the override and re-read the
-    environment on next use.  ``min_rows`` (default: the env/module
-    default) replaces the scan floor.
-    """
-    global _config
-    if backend is None:
-        _config = None
-        if min_rows is not None:
-            config = _config_from_env()
-            config.min_rows = min_rows
-            _config = config
-        return
-    if backend not in ("numpy", "python"):
-        raise CatalogError(
-            f"unknown columnar backend {backend!r}; expected 'numpy' or 'python'"
-        )
-    numpy = _import_numpy() if backend == "numpy" else None
-    if backend == "numpy" and numpy is None:
-        raise CatalogError("columnar backend 'numpy' requested but numpy is not importable")
-    _config = _BackendConfig(
-        numpy, NUMPY_MIN_ROWS if min_rows is None else min_rows
-    )
-
-
-def reset_backend() -> None:
-    """Forget any cached/overridden decision; next use re-reads the env."""
-    global _config
-    _config = None
-
-
-@contextmanager
-def backend_override(backend: str | None, min_rows: int | None = None):
-    """Context manager: :func:`configure_backend` scoped to a block."""
-    global _config
-    saved = _config
-    try:
-        configure_backend(backend, min_rows)
-        yield
-    finally:
-        _config = saved
+__all__ = ["ColumnBlock"]
 
 
 class ColumnBlock:
     """An immutable column-major snapshot of interned rows."""
 
-    __slots__ = ("arity", "version", "length", "columns", "_int_rows", "_views")
+    __slots__ = ("arity", "version", "length", "columns", "_int_rows")
 
     def __init__(
         self,
@@ -182,7 +37,6 @@ class ColumnBlock:
         else:
             self.length = 0 if length is None else length
         self._int_rows: list[tuple[int, ...]] | None = None
-        self._views: list | None = None
 
     @classmethod
     def from_rows(
@@ -217,55 +71,3 @@ class ColumnBlock:
                 rows = [()] * self.length
             self._int_rows = rows
         return rows
-
-    def column_view(self, column: int):
-        """A zero-copy numpy view of one column, memoized per column.
-
-        ``array('q')`` supports the buffer protocol, so the view wraps the
-        existing storage without copying; blocks are immutable snapshots,
-        so the shared storage never changes underneath the view.  Requires
-        the numpy backend.
-        """
-        np = numpy_backend()
-        if np is None:
-            raise CatalogError("column_view requires the numpy columnar backend")
-        views = self._views
-        if views is None:
-            views = self._views = [None] * self.arity
-        view = views[column]
-        if view is None:
-            view = np.frombuffer(self.columns[column], dtype=np.int64)
-            views[column] = view
-        return view
-
-    def select(
-        self,
-        const_checks: Sequence[tuple[int, int]],
-        dup_checks: Sequence[tuple[int, int]] = (),
-    ) -> Iterable[int]:
-        """Indexes of rows passing column==id and column==column checks.
-
-        The numpy backend (see module docstring) vectorizes this scan;
-        otherwise a python loop over the row-major view runs.
-        """
-        n = self.length
-        if not const_checks and not dup_checks:
-            return range(n)
-        config = _current()
-        np = config.numpy
-        if np is not None and n >= config.min_rows:
-            mask = None
-            for column, sid in const_checks:
-                hits = self.column_view(column) == sid
-                mask = hits if mask is None else (mask & hits)
-            for left, right in dup_checks:
-                hits = self.column_view(left) == self.column_view(right)
-                mask = hits if mask is None else (mask & hits)
-            return np.nonzero(mask)[0].tolist()
-        rows = self.int_rows()
-        return [
-            index
-            for index, row in enumerate(rows)
-            if all(row[c] == sid for c, sid in const_checks)
-            and all(row[left] == row[right] for left, right in dup_checks)
-        ]

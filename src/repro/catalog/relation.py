@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from repro.catalog.columnar import ColumnBlock, numpy_backend, numpy_min_rows
+from repro.catalog.columnar import ColumnBlock
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import ArityError, CatalogError
 from repro.logic.terms import Constant, Term, is_constant, make_term
@@ -73,15 +73,6 @@ class Relation:
         self._introws: list[tuple[int, ...]] | None = []
         #: Memoized columnar snapshot, valid while its version matches.
         self._block: ColumnBlock | None = None
-        #: A 2-D id block that *is* the interned mirror, stashed by
-        #: :meth:`load_interned_block` as ``(block, version)``.  While the
-        #: version still matches, :meth:`int_rows` materializes tuples
-        #: from it (one C-level ``tolist``) instead of re-interning every
-        #: constant; any later mutation simply outdates it.
-        self._intblock: tuple[object, int] | None = None
-        #: Memoized row sequence (insertion order) for positional access
-        #: aligned with the columnar mirror: (version, list of rows).
-        self._rowseq: tuple[int, list[Row]] | None = None
         for row in rows:
             self.insert(row)
 
@@ -170,47 +161,6 @@ class Relation:
             self._introws = list(int_rows)
         return added
 
-    def load_interned_block(self, block) -> int:
-        """Bulk-load a 2-D block of *distinct* symbol-id rows.
-
-        The vector kernel flush: ``block`` is anything with ``shape``,
-        ``ravel()``, and ``tolist()`` — in practice a numpy ``int64``
-        array.  Distinct id rows externalize to distinct constant rows
-        (equal constants intern to one id), so unlike
-        :meth:`load_interned` no duplicate collapse is possible and the
-        externalization runs as one flat :meth:`SymbolTable.extern_block`
-        pass.  Mutation semantics match :meth:`load_interned`: derived
-        structures drop, the version bumps, the journal resets.
-        """
-        self._assert_mutable()
-        count, width = block.shape
-        if width != self.arity:
-            raise ArityError(f"expected {self.arity} columns, got {width}")
-        if not count:
-            return 0
-        if width == 0:
-            rows: list[Row] = [()]
-        else:
-            rows = SYMBOLS.extern_block(block.ravel().tolist(), width)
-        self._unshare()
-        before = len(self._rows)
-        was_empty = before == 0
-        if was_empty:
-            # One dict build instead of build-then-merge (restore() sets
-            # the same precedent for rebinding the row dict wholesale).
-            self._rows = dict.fromkeys(rows)
-        else:
-            self._rows.update(dict.fromkeys(rows))
-        added = len(self._rows) - before
-        if not added:
-            return 0
-        self._invalidate_derived()
-        if was_empty and len(self._rows) == count:
-            # The block *is* the interned mirror; int_rows() materializes
-            # tuples from it lazily if and when a consumer asks.
-            self._intblock = (block, self._version)
-        return added
-
     def delete(self, row: Sequence[object]) -> bool:
         """Delete a row; returns ``False`` if it was absent.
 
@@ -226,7 +176,6 @@ class Relation:
         self._log("-", coerced)
         self._introws = None
         self._block = None
-        self._intblock = None
         for column, index in self._indexes.items():
             bucket = index.get(coerced[column])
             if bucket is not None:
@@ -262,7 +211,6 @@ class Relation:
         self._stats.clear()
         self._introws = None
         self._block = None
-        self._intblock = None
         self._version += 1
         self._reset_journal()
 
@@ -342,12 +290,8 @@ class Relation:
         """
         rows = self._introws
         if rows is None:
-            stashed = self._intblock
-            if stashed is not None and stashed[1] == self._version:
-                rows = [tuple(irow) for irow in stashed[0].tolist()]
-            else:
-                intern_row = SYMBOLS.intern_row
-                rows = [intern_row(row) for row in self._rows]
+            intern_row = SYMBOLS.intern_row
+            rows = [intern_row(row) for row in self._rows]
             self._introws = rows
         return rows
 
@@ -407,49 +351,6 @@ class Relation:
             if all(row[i] == v for i, v in rest):
                 yield row
 
-    def row_seq(self) -> list[Row]:
-        """Stored rows in insertion order, memoized per version.
-
-        Positionally aligned with :meth:`int_rows` / :meth:`column_block`,
-        so a columnar ``select`` index addresses the *stored* constant row
-        — no externalization needed.  Treat the list as immutable.
-        """
-        cached = self._rowseq
-        if cached is None or cached[0] != self._version:
-            cached = (self._version, list(self._rows))
-            self._rowseq = cached
-        return cached[1]
-
-    def columnar_lookup(self, pattern: Sequence[Term | None]) -> list[Row] | None:
-        """Bulk pattern lookup over the interned columnar mirror.
-
-        The vector-scan alternative to :meth:`lookup` for resolver-style
-        callers (the top-down engine): pattern constants are mapped to
-        symbol ids, the match runs as one vectorized ``select`` over the
-        columnar block, and the hits index straight into the stored row
-        sequence — the original ``Constant`` tuples, not re-materialised
-        copies.  Returns ``None`` when the scan does not engage (numpy
-        backend off, relation below the row floor, or an unbound pattern —
-        callers fall back to :meth:`lookup`); a pattern constant the
-        process has never interned matches nothing.
-        """
-        if numpy_backend() is None or len(self._rows) < numpy_min_rows():
-            return None
-        if len(pattern) != self.arity:
-            raise ArityError(f"pattern arity {len(pattern)} != relation arity {self.arity}")
-        const_checks = []
-        for column, term in enumerate(pattern):
-            if term is None or not is_constant(term):
-                continue
-            sid = SYMBOLS.id_of(term)
-            if sid is None:
-                return []
-            const_checks.append((column, sid))
-        if not const_checks:
-            return None
-        rows = self.row_seq()
-        return [rows[i] for i in self.column_block().select(const_checks)]
-
     def distinct_count(self, column: int) -> int:
         """Number of distinct values in a column.
 
@@ -508,8 +409,6 @@ class Relation:
         clone.journal_resets = self.journal_resets
         clone._introws = self._introws
         clone._block = self._block
-        clone._intblock = self._intblock
-        clone._rowseq = self._rowseq
         self._shared = True
         return clone
 

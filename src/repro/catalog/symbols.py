@@ -67,15 +67,6 @@ class SymbolTable:
         intern = self.intern
         return tuple(intern(constant) for constant in row)
 
-    def id_of(self, constant: Constant) -> int | None:
-        """The id for *constant* if already interned, else ``None``.
-
-        A read-only probe: lookups for constants the process has never
-        stored (e.g. a query pattern over values absent from every
-        relation) must not grow the table.
-        """
-        return self._ids.get(constant)
-
     def extern(self, sid: int) -> Constant:
         """The constant for an id (first-interned representative)."""
         return self._constants[sid]
@@ -90,19 +81,6 @@ class SymbolTable:
     ) -> list[tuple[Constant, ...]]:
         constants = self._constants
         return [tuple(constants[sid] for sid in row) for row in rows]
-
-    def extern_block(
-        self, flat_ids: Sequence[int], width: int
-    ) -> list[tuple[Constant, ...]]:
-        """Externalize a flattened row-major block into *width*-tuples.
-
-        One C-level ``map``/``zip`` pass instead of a per-row
-        :meth:`extern_row` call — the bulk-flush path for array-backed
-        derived tables.  ``width`` must be positive (zero-arity rows have
-        nothing to externalize).
-        """
-        source = map(self._constants.__getitem__, flat_ids)
-        return list(zip(*([source] * width)))
 
     def constants(self) -> list[Constant]:
         """A snapshot of the id -> constant mapping (index = id)."""

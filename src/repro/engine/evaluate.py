@@ -19,6 +19,7 @@ from repro.engine.joins import bind_row, join_conjunction, relation_cost_estimat
 from repro.engine.plan import compile_conjunction, resolve_executor
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.engine.topdown import TopDownEngine
+from repro.obs.trace import recording, traced_span
 from repro.logic.atoms import Atom, atoms_variables
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable, is_constant, is_variable
@@ -163,6 +164,7 @@ def evaluate_conjunction(
     """
     _check_engine(engine)
     executor = resolve_executor(executor)
+    tracer = recording(tracer)
     iterator = _evaluate_conjunction(
         kb, conjuncts, engine, max_derived_facts, negated, executor, guard, cache,
         tracer, plan_cache,
@@ -286,7 +288,7 @@ def _evaluate_conjunction(
             if plan_cache is not None:
                 plan_cache[key] = kernel
         yield from substitutions_from_kernel_batch(
-            kernel, kernel.execute_rows(relation_view, guard, tracer)
+            kernel, kernel.execute(relation_view, guard, tracer)
         )
         return
 
@@ -351,6 +353,7 @@ def retrieve(
     """
     _check_engine(engine)
     executor = resolve_executor(executor)
+    tracer = recording(tracer)
     if subject.is_comparison():
         raise EngineError("the subject of retrieve may not be a comparison")
 
@@ -375,8 +378,6 @@ def retrieve(
 
     seen: set[tuple[Constant, ...]] = set()
     rows: list[tuple[Constant, ...]] = []
-    from repro.obs.trace import traced_span
-
     with traced_span(
         tracer, "retrieve", subject=str(subject), engine=engine, executor=executor
     ):

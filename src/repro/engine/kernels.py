@@ -6,9 +6,8 @@ the integer domain of the process-wide symbol table
 :class:`~repro.logic.terms.Constant` objects:
 
 * every step is specialized over **symbol ids** — the build side reads
-  a relation's interned rows (:meth:`Relation.int_rows` /
-  :meth:`Relation.column_block`), constant arguments are interned once at
-  compile time, and join keys are plain ints (id-equality is exactly
+  a relation's interned rows (:meth:`Relation.int_rows`), constant
+  arguments are interned once at compile time, and join keys are plain ints (id-equality is exactly
   constant-equality, see :mod:`repro.catalog.symbols`);
 * adjacent scan→join→compare steps are **fused**: a comparison whose
   operands are ground right after a join becomes a per-row filter closure
@@ -33,28 +32,6 @@ in kernel mode: an append-only list/set pair of id tuples, presenting the
 same ``(arity, version, int_rows, distinct_count)`` surface as
 :class:`~repro.catalog.relation.Relation`, so build-side memoization and
 the cardinality estimator work unchanged.
-
-When the numpy columnar backend is enabled
-(``REPRO_COLUMNAR_BACKEND=numpy``), every step additionally carries a
-``run_block`` **vector path** operating on 2-D ``int64`` arrays instead of
-python tuple batches:
-
-* the build side of a single-key join is laid out once per
-  ``(relation, version)`` as sorted key ids + group starts/counts + a 2-D
-  extension array (a CSR-style layout), and a whole probe column is
-  resolved in one ``np.searchsorted`` call;
-* matches expand with ``np.repeat`` plus a concatenated-``arange`` gather —
-  no per-tuple python work;
-* fused ``=``/``!=`` comparison filters become boolean masks; order
-  comparisons (value semantics) and multi-key joins fall back to the
-  scalar loops for just that step, preserving semantics exactly;
-* batch dedup (:func:`unique_block`) runs ``np.unique`` over a structured
-  (void) view of the row bytes, so within-batch duplicate elimination is
-  one C call.
-
-The vector and scalar paths share plans, slot layouts, and constant
-interning, so they agree answer-for-answer; the differential and parity
-suites pin this.
 """
 
 from __future__ import annotations
@@ -63,7 +40,6 @@ import operator
 from typing import Callable, Sequence
 
 from repro.errors import ArityError, LogicError
-from repro.catalog.columnar import numpy_backend, numpy_min_rows
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.joins import CostEstimator
 from repro.engine.plan import (
@@ -119,15 +95,13 @@ class IntTable:
     build-table memos — the same protocol as :attr:`Relation.version`.
     """
 
-    __slots__ = ("arity", "rows", "index", "_stats", "_array", "_array_version")
+    __slots__ = ("arity", "rows", "index", "_stats")
 
     def __init__(self, arity: int, rows: Sequence[tuple[int, ...]] = ()) -> None:
         self.arity = arity
         self.rows: list[tuple[int, ...]] = list(rows)
         self.index: set[tuple[int, ...]] = set(self.rows)
         self._stats: dict[int, tuple[int, int]] = {}
-        self._array: object = None
-        self._array_version = -1
 
     def add(self, row: tuple[int, ...]) -> bool:
         """Append a row; returns ``False`` if it was already present."""
@@ -164,220 +138,11 @@ class IntTable:
         self._stats[column] = (len(self.rows), count)
         return count
 
-    def as_array(self, np):
-        """The rows as a 2-D ``int64`` array, memoized per version."""
-        if self._array is not None and self._array_version == len(self.rows):
-            return self._array
-        arr = np.asarray(self.rows, dtype=np.int64)
-        if arr.ndim != 2:
-            arr = arr.reshape(len(self.rows), self.arity)
-        self._array = arr
-        self._array_version = len(self.rows)
-        return arr
-
-
-class ArrayTable:
-    """A read-only, array-backed table: the vector path's delta store.
-
-    Presents the same ``(arity, version, int_rows, distinct_count)``
-    surface as :class:`IntTable`, so kernel compilation, the cardinality
-    estimator, and the scalar fallback can read it — while the vector path
-    consumes the 2-D array directly, with no tuple materialisation.
-    """
-
-    __slots__ = ("arity", "array", "_np", "_rows")
-
-    def __init__(self, arity: int, array_2d, np) -> None:
-        self.arity = arity
-        self.array = array_2d
-        self._np = np
-        self._rows: list[tuple[int, ...]] | None = None
-
-    def as_array(self, np):
-        return self.array
-
-    def int_rows(self) -> list[tuple[int, ...]]:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = [tuple(row) for row in self.array.tolist()]
-        return rows
-
-    @property
-    def version(self) -> int:
-        return len(self.array)
-
-    def __len__(self) -> int:
-        return len(self.array)
-
-    def distinct_count(self, column: int) -> int:
-        return len(self._np.unique(self.array[:, column]))
-
-
-class GrowTable:
-    """An append-only array-backed table: the vector path's accumulator.
-
-    Rows arrive as disjoint, already-deduplicated 2-D ``int64`` blocks
-    (the vector fixpoint screens each batch before extending), so the
-    table never re-probes membership: it just collects blocks and
-    concatenates lazily.  Presents the same read surface as
-    :class:`IntTable` — ``(arity, version, int_rows, distinct_count,
-    as_array)`` — so kernel compilation, the cardinality estimator, and
-    the scalar fallbacks consume it unchanged, while the vector path
-    reads the 2-D array with no tuple materialisation anywhere in the
-    fixpoint.
-    """
-
-    __slots__ = (
-        "arity", "_np", "_parts", "_length",
-        "_array", "_array_length", "_rows", "_rows_length",
-    )
-
-    def __init__(self, arity: int, np) -> None:
-        self.arity = arity
-        self._np = np
-        self._parts: list = []
-        self._length = 0
-        self._array: object = None
-        self._array_length = -1
-        self._rows: list[tuple[int, ...]] | None = None
-        self._rows_length = -1
-
-    def extend_block(self, arr) -> None:
-        """Append a block of rows known to be new (caller deduplicated)."""
-        if len(arr):
-            self._parts.append(arr)
-            self._length += len(arr)
-
-    @property
-    def version(self) -> int:
-        # Row count is a valid monotone version: rows are only appended.
-        return self._length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def as_array(self, np=None):
-        """All rows as one 2-D array, memoized per version."""
-        np = self._np
-        if self._array_length != self._length:
-            if not self._parts:
-                self._array = np.empty((0, self.arity), dtype=np.int64)
-            elif len(self._parts) == 1:
-                self._array = self._parts[0]
-            else:
-                self._array = np.concatenate(self._parts)
-                self._parts = [self._array]
-            self._array_length = self._length
-        return self._array
-
-    def int_rows(self) -> list[tuple[int, ...]]:
-        if self._rows_length != self._length:
-            self._rows = [tuple(row) for row in self.as_array().tolist()]
-            self._rows_length = self._length
-        return self._rows
-
-    def distinct_count(self, column: int) -> int:
-        np = self._np
-        return len(np.unique(self.as_array()[:, column]))
-
-
-def _vec_source(relation, np):
-    """``(get_column, row_count)`` for any build-side store.
-
-    Relations expose zero-copy columnar views; ``IntTable``/``ArrayTable``
-    expose a (memoized) 2-D array sliced per column.
-    """
-    if hasattr(relation, "column_block"):
-        block = relation.column_block()
-        return block.column_view, len(block)
-    arr = relation.as_array(np)
-    return (lambda column: arr[:, column]), len(arr)
-
-
-def _rows_to_array(np, rows, width):
-    """A list of id tuples as a 2-D ``int64`` array (empty-safe)."""
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.ndim != 2:
-        arr = arr.reshape(len(rows), width)
-    return arr
-
-
-def _void_rows(np, arr):
-    """A 1-D void (raw bytes per row) view for row-wise set operations."""
-    arr = np.ascontiguousarray(arr)
-    return arr.view(np.dtype((np.void, arr.dtype.itemsize * arr.shape[1]))).ravel()
-
-
-def unique_block(np, arr):
-    """Row-wise unique of a 2-D ``int64`` array (one ``np.unique`` call)."""
-    if arr.shape[0] <= 1:
-        return arr
-    if arr.shape[1] == 0:
-        # Zero-width rows are all the empty tuple.
-        return arr[:1]
-    _, first = np.unique(_void_rows(np, arr), return_index=True)
-    if len(first) == arr.shape[0]:
-        return arr
-    return arr[first]
-
-
-def _filter_block(np, batch, checks, specs):
-    """Apply compiled comparison filters to a 2-D batch.
-
-    Vectorizable specs (id-domain ``=``/``!=``) become boolean masks;
-    the rest (order comparisons, which externalize to values) run their
-    scalar closures row-wise over the — usually already masked — batch.
-    """
-    mask = None
-    scalar: list = []
-    for check, spec in zip(checks, specs):
-        if spec is None:
-            scalar.append(check)
-            continue
-        kind = spec[0]
-        if kind == "const":
-            if spec[1]:
-                continue
-            return batch[:0]
-        if kind == "ss":
-            hits = batch[:, spec[2]] == batch[:, spec[3]]
-        else:  # "sc"
-            hits = batch[:, spec[2]] == spec[3]
-        if not spec[1]:
-            hits = ~hits
-        mask = hits if mask is None else (mask & hits)
-    if mask is not None:
-        batch = batch[mask]
-    if scalar and len(batch):
-        keep = [
-            index
-            for index, row in enumerate(batch.tolist())
-            if all(check(row) for check in scalar)
-        ]
-        if len(keep) != len(batch):
-            if not keep:
-                return batch[:0]
-            batch = batch[np.asarray(keep, dtype=np.intp)]
-    return batch
-
 
 def _filtered_rows(relation, const_checks, dup_checks):
-    """Build-side rows passing the constant/duplicate checks.
-
-    When the numpy feature flag is on and the relation carries a columnar
-    block of vectorizable size, the check scan runs over ``array('q')``
-    columns instead of a python loop.
-    """
+    """Build-side rows passing the constant/duplicate checks."""
     if not const_checks and not dup_checks:
         return relation.int_rows()
-    if (
-        numpy_backend() is not None
-        and len(relation) >= numpy_min_rows()
-        and hasattr(relation, "column_block")
-    ):
-        block = relation.column_block()
-        rows = block.int_rows()
-        return [rows[i] for i in block.select(const_checks, dup_checks)]
     return [
         row
         for row in relation.int_rows()
@@ -397,11 +162,9 @@ class _KJoin:
 
     __slots__ = (
         "predicate", "arity", "key_slots", "key_cols",
-        "const_checks", "dup_checks", "out_cols", "fused", "fused_specs",
-        "dense_hint",
+        "const_checks", "dup_checks", "out_cols", "fused",
         "_project", "_key_of", "_probe_key",
         "_cache_rel", "_cache_ver", "_cache_table",
-        "_vcache_rel", "_vcache_ver", "_vcache_table",
     )
 
     def __init__(
@@ -422,11 +185,6 @@ class _KJoin:
         self.dup_checks = dup_checks
         self.out_cols = out_cols
         self.fused: list[RowFilter] = []
-        self.fused_specs: list = []
-        #: Analysis hint: the key column's value domain is proven compact
-        #: (small exact enum), so the vector build may lay the table out as
-        #: a dense id->group lookup instead of sorted keys + searchsorted.
-        self.dense_hint = False
         # Specialized at compile time: C-speed projectors over the
         # concrete column/slot indexes this join uses.
         self._project = _projector(out_cols)
@@ -435,9 +193,6 @@ class _KJoin:
         self._cache_rel: object = None
         self._cache_ver = -1
         self._cache_table: object = None
-        self._vcache_rel: object = None
-        self._vcache_ver = -1
-        self._vcache_table: object = None
 
     def _build(self, relation) -> object:
         version = relation.version
@@ -524,155 +279,6 @@ class _KJoin:
                             append(binding + extension)
         return result
 
-    # -- vector path -------------------------------------------------------
-
-    def _build_vec(self, relation, np):
-        """CSR-style vector build side, memoized per ``(relation, version)``.
-
-        Single-key layout: sorted unique key ids + group starts/counts +
-        the extension columns as one 2-D array in sorted-key order.  A
-        keyless scan keeps just the extension array.
-        """
-        version = relation.version
-        if self._vcache_rel is relation and self._vcache_ver == version:
-            return self._vcache_table
-        get_column, n = _vec_source(relation, np)
-        mask = None
-        for column, sid in self.const_checks:
-            hits = get_column(column) == sid
-            mask = hits if mask is None else (mask & hits)
-        for left, right in self.dup_checks:
-            hits = get_column(left) == get_column(right)
-            mask = hits if mask is None else (mask & hits)
-        selected = None if mask is None else np.nonzero(mask)[0]
-        m = n if selected is None else len(selected)
-
-        def column(index):
-            values = get_column(index)
-            return values if selected is None else values[selected]
-
-        out_cols = self.out_cols
-        if not self.key_cols:
-            if out_cols:
-                ext = np.stack([column(c) for c in out_cols], axis=1)
-            else:
-                ext = np.empty((m, 0), dtype=np.int64)
-            table = ("scan", ext)
-        else:
-            keys = column(self.key_cols[0])
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            if out_cols:
-                ext = np.stack([column(c)[order] for c in out_cols], axis=1)
-            else:
-                ext = np.empty((m, 0), dtype=np.int64)
-            unique_keys, starts = np.unique(sorted_keys, return_index=True)
-            counts = np.diff(np.append(starts, m))
-            table = ("hash", unique_keys, starts, counts, ext)
-            if self.dense_hint and len(unique_keys):
-                base = int(unique_keys[0])
-                span = int(unique_keys[-1]) - base + 1
-                # Dense remap only when the id range is actually compact:
-                # probes become one gather instead of a searchsorted.
-                if span <= max(4096, 8 * len(unique_keys)) and span <= (1 << 20):
-                    lookup = np.full(span, -1, dtype=np.int64)
-                    lookup[unique_keys - base] = np.arange(
-                        len(unique_keys), dtype=np.int64
-                    )
-                    table = ("dense", base, lookup, starts, counts, ext)
-        self._vcache_rel = relation
-        self._vcache_ver = version
-        self._vcache_table = table
-        return table
-
-    def _run_block_scalar(self, batch, relations, np):
-        """Per-step scalar fallback (multi-key joins): tuples in, array out."""
-        rows = self.run([tuple(row) for row in batch.tolist()], relations)
-        return _rows_to_array(np, rows, batch.shape[1] + len(self.out_cols))
-
-    def run_block(self, batch, relations, np, tracer=None):
-        width = batch.shape[1] + len(self.out_cols)
-        relation = relations(self.predicate)
-        if relation is None or len(relation) == 0:
-            return np.empty((0, width), dtype=np.int64)
-        if relation.arity != self.arity:
-            raise ArityError(
-                f"atom {self.predicate}/{self.arity} does not match relation "
-                f"arity {relation.arity}"
-            )
-        if len(self.key_cols) > 1:
-            return self._run_block_scalar(batch, relations, np)
-        table = self._build_vec(relation, np)
-        if tracer is not None:
-            tracer.count("probe_batches", 1)
-        if table[0] == "scan":
-            ext = table[1]
-            if not len(ext):
-                return np.empty((0, width), dtype=np.int64)
-            # Cartesian expansion, binding-major like the scalar loop.
-            out = np.concatenate(
-                [
-                    np.repeat(batch, len(ext), axis=0),
-                    np.tile(ext, (len(batch), 1)),
-                ],
-                axis=1,
-            )
-        elif table[0] == "dense":
-            _, base, lookup, starts, counts, ext = table
-            probe = batch[:, self.key_slots[0]]
-            # Dense remap probe: key ids index straight into the lookup
-            # array (out-of-range and absent keys resolve to group -1).
-            offsets = np.clip(probe - base, 0, len(lookup) - 1)
-            slots = np.where(
-                (probe >= base) & (probe - base < len(lookup)), lookup[offsets], -1
-            )
-            hits = np.nonzero(slots >= 0)[0]
-            if not len(hits):
-                return np.empty((0, width), dtype=np.int64)
-            groups = slots[hits]
-            group_counts = counts[groups]
-            total = int(group_counts.sum())
-            bound = batch[np.repeat(hits, group_counts)]
-            # Concatenated-arange gather: starts repeated per match plus a
-            # within-group offset enumerates every matching build row.
-            ends = np.cumsum(group_counts)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                ends - group_counts, group_counts
-            )
-            out = np.concatenate(
-                [bound, ext[np.repeat(starts[groups], group_counts) + within]],
-                axis=1,
-            )
-        else:
-            _, unique_keys, starts, counts, ext = table
-            if not len(unique_keys):
-                return np.empty((0, width), dtype=np.int64)
-            probe = batch[:, self.key_slots[0]]
-            # Whole-column hash probe: one searchsorted resolves every
-            # binding's key against the sorted build keys.
-            positions = np.searchsorted(unique_keys, probe)
-            clipped = np.minimum(positions, len(unique_keys) - 1)
-            hits = np.nonzero(unique_keys[clipped] == probe)[0]
-            if not len(hits):
-                return np.empty((0, width), dtype=np.int64)
-            groups = clipped[hits]
-            group_counts = counts[groups]
-            total = int(group_counts.sum())
-            bound = batch[np.repeat(hits, group_counts)]
-            # Concatenated-arange gather: starts repeated per match plus a
-            # within-group offset enumerates every matching build row.
-            ends = np.cumsum(group_counts)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                ends - group_counts, group_counts
-            )
-            out = np.concatenate(
-                [bound, ext[np.repeat(starts[groups], group_counts) + within]],
-                axis=1,
-            )
-        if self.fused and len(out):
-            out = _filter_block(np, out, self.fused, self.fused_specs)
-        return out
-
 
 class _KBind:
     """``=`` with one unbound side, over ids."""
@@ -690,29 +296,18 @@ class _KBind:
         extension = (self.source_id,)
         return [binding + extension for binding in batch]
 
-    def run_block(self, batch, relations, np, tracer=None):
-        if self.source_slot is not None:
-            column = batch[:, self.source_slot : self.source_slot + 1]
-        else:
-            column = np.full((len(batch), 1), self.source_id, dtype=np.int64)
-        return np.concatenate([batch, column], axis=1)
-
 
 class _KFilter:
     """A standalone (unfused) comparison filter over the batch."""
 
-    __slots__ = ("check", "spec")
+    __slots__ = ("check",)
 
-    def __init__(self, check: RowFilter, spec=None) -> None:
+    def __init__(self, check: RowFilter) -> None:
         self.check = check
-        self.spec = spec
 
     def run(self, batch: IntBatch, relations) -> IntBatch:
         check = self.check
         return [binding for binding in batch if check(binding)]
-
-    def run_block(self, batch, relations, np, tracer=None):
-        return _filter_block(np, batch, (self.check,), (self.spec,))
 
 
 class _KAntiJoin:
@@ -721,7 +316,6 @@ class _KAntiJoin:
     __slots__ = (
         "predicate", "arity", "key_slots", "key_cols", "const_checks",
         "_cache_rel", "_cache_ver", "_cache_keys",
-        "_vcache_rel", "_vcache_ver", "_vcache_keys",
     )
 
     def __init__(
@@ -740,9 +334,6 @@ class _KAntiJoin:
         self._cache_rel: object = None
         self._cache_ver = -1
         self._cache_keys: set | None = None
-        self._vcache_rel: object = None
-        self._vcache_ver = -1
-        self._vcache_keys: object = None
 
     def _keys(self, relation) -> set:
         version = relation.version
@@ -775,55 +366,6 @@ class _KAntiJoin:
             for binding in batch
             if tuple(binding[s] for s in slots) not in keys
         ]
-
-    def _keys_array(self, relation, np):
-        """Sorted 1-D array of single-column anti-join keys (memoized)."""
-        version = relation.version
-        if self._vcache_rel is relation and self._vcache_ver == version:
-            return self._vcache_keys
-        keys = self._keys(relation)
-        arr = np.fromiter((key[0] for key in keys), dtype=np.int64, count=len(keys))
-        arr.sort()
-        self._vcache_rel = relation
-        self._vcache_ver = version
-        self._vcache_keys = arr
-        return arr
-
-    def run_block(self, batch, relations, np, tracer=None):
-        relation = relations(self.predicate)
-        if relation is None or len(relation) == 0:
-            return batch
-        if relation.arity != self.arity:
-            raise ArityError(
-                f"negated atom {self.predicate}/{self.arity} does not match "
-                f"relation arity {relation.arity}"
-            )
-        slots = self.key_slots
-        if len(slots) == 1:
-            keys = self._keys_array(relation, np)
-            if not len(keys):
-                return batch
-            probe = batch[:, slots[0]]
-            positions = np.searchsorted(keys, probe)
-            clipped = np.minimum(positions, len(keys) - 1)
-            return batch[keys[clipped] != probe]
-        keys = self._keys(relation)
-        if not keys:
-            return batch
-        if not slots:
-            # A fully-constant negated atom: some build row matched the
-            # constants, so every binding is excluded.
-            return batch[:0]
-        keep = [
-            index
-            for index, row in enumerate(batch.tolist())
-            if tuple(row[s] for s in slots) not in keys
-        ]
-        if len(keep) == len(batch):
-            return batch
-        if not keep:
-            return batch[:0]
-        return batch[np.asarray(keep, dtype=np.intp)]
 
 
 def _operand_reader(
@@ -880,27 +422,6 @@ def _compare_filter(step: _Compare, skip_check: bool = False) -> RowFilter:
     return check
 
 
-def _vector_spec(step: _Compare):
-    """A mask recipe for a comparison, or ``None`` when not vectorizable.
-
-    Only id-domain ``=``/``!=`` vectorize (id-equality is constant
-    equality); order comparisons externalize to values row-wise.  Spec
-    shapes: ``("ss", want_equal, left_slot, right_slot)``,
-    ``("sc", want_equal, slot, symbol_id)``, ``("const", keep_all)``.
-    """
-    if step.op not in ("=", "!="):
-        return None
-    want_equal = step.op == "="
-    left_slot, right_slot = step.left_slot, step.right_slot
-    if left_slot is not None and right_slot is not None:
-        return ("ss", want_equal, left_slot, right_slot)
-    if left_slot is None and right_slot is None:
-        return ("const", (step.left_const == step.right_const) == want_equal)
-    slot = left_slot if left_slot is not None else right_slot
-    const = step.right_const if left_slot is not None else step.left_const
-    return ("sc", want_equal, slot, SYMBOLS.intern(const))  # type: ignore[arg-type]
-
-
 class ConjunctionKernel:
     """A kernelized physical plan: same schema, id-domain steps."""
 
@@ -930,34 +451,6 @@ class ConjunctionKernel:
             if not batch:
                 return []
         return batch
-
-    def execute_block(self, relations, np, guard=None, tracer=None):
-        """Vector-path execution: the batch is a 2-D ``int64`` array.
-
-        Guard ticks and ``join_probes`` accounting are identical to
-        :meth:`execute` (same step boundaries, same batch sizes); each
-        vectorized whole-column probe additionally counts one
-        ``probe_batches``.
-        """
-        batch = np.zeros((1, 0), dtype=np.int64)
-        for step in self.steps:
-            size = len(batch)
-            if guard is not None:
-                guard.tick(size)
-            if tracer is not None:
-                tracer.count("join_probes", size)
-            batch = step.run_block(batch, relations, np, tracer)
-            if not len(batch):
-                return batch
-        return batch
-
-    def execute_rows(self, relations, guard=None, tracer=None) -> IntBatch:
-        """Run the kernel, via the vector path when the backend is on."""
-        np = numpy_backend()
-        if np is None:
-            return self.execute(relations, guard, tracer)
-        batch = self.execute_block(relations, np, guard, tracer)
-        return [tuple(row) for row in batch.tolist()]
 
 
 class RuleKernel:
@@ -993,22 +486,6 @@ class RuleKernel:
             tuple(value if is_const else binding[value] for is_const, value in template)
             for binding in batch
         ]
-
-    def execute_block(self, relations, np, guard=None, tracer=None):
-        """Vector-path execution: head rows as a 2-D ``int64`` array."""
-        batch = self.kernel.execute_block(relations, np, guard, tracer)
-        template = self.head_template
-        if not len(batch):
-            return np.empty((0, len(template)), dtype=np.int64)
-        if not template:
-            return batch[:, :0]
-        columns = [
-            np.full((len(batch), 1), value, dtype=np.int64)
-            if is_const
-            else batch[:, value : value + 1]
-            for is_const, value in template
-        ]
-        return columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
 
 
 def _strip_delta(predicate: str) -> str:
@@ -1084,8 +561,7 @@ def kernelize_conjunction(plan: ConjunctionPlan, summary=None) -> ConjunctionKer
     lowering additionally specializes from proven facts: an order
     comparison whose operands are homogeneous over the joins placed
     before it (:class:`_SlotDomains`) drops the per-row comparability
-    check, and single-key joins whose key column domain is proven compact
-    get the dense-remap hint.
+    check.
     """
     slot_domains = _SlotDomains(summary) if summary is not None else None
     steps: list = []
@@ -1101,11 +577,6 @@ def kernelize_conjunction(plan: ConjunctionPlan, summary=None) -> ConjunctionKer
                 step.dup_checks,
                 step.out_cols,
             )
-            if summary is not None and len(step.key_cols) == 1:
-                compact = summary.compact_key(
-                    _strip_delta(step.predicate), step.key_cols[0]
-                )
-                kjoin.dense_hint = compact is not None
             if slot_domains is not None:
                 slot_domains.join(step)
             steps.append(kjoin)
@@ -1130,13 +601,11 @@ def kernelize_conjunction(plan: ConjunctionPlan, summary=None) -> ConjunctionKer
                 )
             )
             check = _compare_filter(step, skip_check=skip_check)
-            spec = _vector_spec(step)
             if steps and isinstance(steps[-1], _KJoin):
                 steps[-1].fused.append(check)
-                steps[-1].fused_specs.append(spec)
                 described.append(f"{line} [fused]")
             else:
-                steps.append(_KFilter(check, spec))
+                steps.append(_KFilter(check))
                 described.append(line)
         elif isinstance(step, _AntiJoin):
             steps.append(

@@ -16,13 +16,7 @@ Two executors drive rule bodies (the ``executor`` knob; ``None`` picks
   ``(rule, delta-position)`` into a logical plan (:mod:`repro.engine.plan`)
   and lowered to an integer join kernel (:mod:`repro.engine.kernels`); the
   whole stratum fixpoint runs over symbol-id tuples and the results are
-  externalized back into relations when the stratum completes.  When the
-  numpy columnar backend is on (``REPRO_COLUMNAR_BACKEND=numpy``) the
-  fixpoint additionally runs *vectorized*: deltas stay 2-D ``int64``
-  arrays between iterations, probes resolve whole columns at a time, and
-  per-iteration dedup is one batch ``np.unique`` pass (counted by the
-  ``probe_batches`` / ``dedup_batch_rows`` tracer counters) followed by a
-  membership check against the accumulated table;
+  externalized back into relations when the stratum completes;
 * ``"nested"`` — the tuple-at-a-time nested-loop reference executor of
   :mod:`repro.engine.joins`, kept as the differential oracle; the join
   order is still computed once per ``(rule, delta-position)`` rather than
@@ -34,20 +28,11 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.errors import SafetyError
-from repro.catalog.columnar import numpy_backend
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row
 from repro.engine.guard import ResourceGuard
 from repro.engine.joins import bind_row, join_conjunction, order_conjuncts, relation_cost_estimator
-from repro.engine.kernels import (
-    ArrayTable,
-    GrowTable,
-    IntTable,
-    RuleKernel,
-    _void_rows,
-    kernelize_rule,
-    unique_block,
-)
+from repro.engine.kernels import IntTable, RuleKernel, kernelize_rule
 from repro.engine.plan import (
     DELTA_PREFIX as _DELTA_PREFIX,
     analysis_estimator,
@@ -55,7 +40,7 @@ from repro.engine.plan import (
     resolve_executor,
 )
 from repro.engine.safety import check_rule_safety
-from repro.obs.trace import traced_span
+from repro.obs.trace import recording, traced_span
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.substitution import Substitution
@@ -83,7 +68,8 @@ class SemiNaiveEngine:
     tracer:
         A :class:`~repro.obs.trace.Tracer` recording stratum / iteration /
         rule spans with ``facts_derived``, ``delta_rows`` and ``join_probes``
-        counters.  ``None`` (the default) keeps the hot path untraced.
+        counters.  ``None`` (the default) or a disabled tracer keeps the
+        hot path untraced.
     analysis:
         Analysis-informed planning control: ``None`` (the default) follows
         the ``REPRO_PLAN_ANALYSIS`` flag, ``False`` disables it, ``True``
@@ -114,7 +100,7 @@ class SemiNaiveEngine:
             guard = ResourceGuard(max_facts=max_derived_facts)
         self._kb = kb
         self._guard = guard
-        self._tracer = tracer
+        self._tracer = recording(tracer)
         self._executor = executor
         #: Analysis-informed planning: ``None`` resolves via the
         #: ``REPRO_PLAN_ANALYSIS`` flag, ``False`` disables, ``True`` forces,
@@ -333,11 +319,7 @@ class SemiNaiveEngine:
 
     def _evaluate_stratum(self, stratum: set[str]) -> None:
         if self._executor == "kernel":
-            np = numpy_backend()
-            if np is not None:
-                self._evaluate_stratum_kernel_vec(stratum, np)
-            else:
-                self._evaluate_stratum_kernel(stratum)
+            self._evaluate_stratum_kernel(stratum)
             return
         rules, rewritten_rules = self._stratum_rules(stratum)
         # Join orders are cached for the lifetime of this stratum evaluation.
@@ -501,156 +483,3 @@ class SemiNaiveEngine:
             for predicate, table in tables.items():
                 if table.rows:
                     self._relation(predicate).load_interned(table.rows)
-
-    def _evaluate_stratum_kernel_vec(self, stratum: set[str], np) -> None:
-        """Vectorized kernel fixpoint: deltas stay 2-D ``int64`` arrays.
-
-        Mirrors :meth:`_evaluate_stratum_kernel` — same rewriting, same
-        guard/tracer accounting at the same boundaries — but rule firing
-        runs :meth:`RuleKernel.execute_block` (whole-column probes) and the
-        per-round duplicate elimination is a batch ``np.unique`` pass
-        (``dedup_batch_rows`` counts rows entering it) followed by one
-        membership check per *unique* row — keyed by the row's raw bytes,
-        never materialized as a tuple — against the accumulated fact set.
-        Derived rows stay 2-D arrays for the entire stratum
-        (:class:`~repro.engine.kernels.GrowTable`) and flush through
-        :meth:`~repro.catalog.relation.Relation.load_interned_block` in one
-        flat externalization pass, so python-level work scales with new
-        facts, not raw join output.  The flush still runs on the way out
-        when a budget trips mid-fixpoint (same sound-under-approximation
-        contract as the scalar paths).
-        """
-        rules, rewritten_rules = self._stratum_rules(stratum)
-        self._kernels = {}
-        guard = self._guard
-        tracer = self._tracer
-        tables = {p: GrowTable(self._relation(p).arity, np) for p in stratum}
-        # Membership is tracked per predicate as a set of raw row bytes
-        # (the same void view np.unique sorts), mirroring IntTable.index
-        # without ever building an id tuple.  (A fully vectorized variant
-        # — sorted void chunks probed via searchsorted — measured slower:
-        # per-iteration numpy call overhead on small deltas outweighs
-        # C-level set lookups on interned bytes.)
-        seen: dict[str, set[bytes]] = {p: set() for p in stratum}
-        kdelta: dict[str, ArrayTable] = {}
-
-        def kview(predicate: str):
-            if predicate.startswith(_DELTA_PREFIX):
-                return kdelta.get(predicate[len(_DELTA_PREFIX):])
-            table = tables.get(predicate)
-            if table is not None:
-                return table
-            return self._relation_view(predicate)
-
-        def fire(rule: Rule, plan_key: tuple[int, int]):
-            return self._kernel_for(rule, plan_key, kview).execute_block(
-                kview, np, guard, tracer
-            )
-
-        def screen(predicate: str, fired, extra_seen=None):
-            """Batch-dedup fired head rows; ``(array, keys)`` of new rows."""
-            if tracer is not None:
-                tracer.count("dedup_batch_rows", len(fired))
-            uniq = unique_block(np, fired)
-            if uniq.shape[1]:
-                keys = _void_rows(np, uniq).tolist()
-            else:
-                keys = [b""] * len(uniq)
-            old = seen[predicate]
-            if extra_seen:
-                keep = [
-                    i for i, key in enumerate(keys)
-                    if key not in old and key not in extra_seen
-                ]
-            else:
-                keep = [i for i, key in enumerate(keys) if key not in old]
-            if not keep:
-                return uniq[:0], []
-            if len(keep) == len(keys):
-                return uniq, keys
-            return (
-                uniq[np.asarray(keep, dtype=np.intp)],
-                [keys[i] for i in keep],
-            )
-
-        try:
-            # deltas: predicate -> list of disjoint new-row arrays.
-            deltas: dict[str, list] = {p: [] for p in stratum}
-            for rule_index, rule in enumerate(rules):
-                with traced_span(tracer, "rule", rule=str(rule), phase="initial"):
-                    fired = fire(rule, (rule_index, -1))
-                    if len(fired):
-                        new_arr, new_keys = screen(rule.head.predicate, fired)
-                        if new_keys:
-                            seen[rule.head.predicate].update(new_keys)
-                            tables[rule.head.predicate].extend_block(new_arr)
-                            deltas[rule.head.predicate].append(new_arr)
-                            if guard is not None:
-                                guard.count_facts(len(new_keys))
-                            if tracer is not None:
-                                tracer.count("facts_derived", len(new_keys))
-
-            if not rewritten_rules:
-                return
-
-            iteration = 0
-            while any(parts for parts in deltas.values()):
-                iteration += 1
-                if guard is not None:
-                    guard.iteration()
-                with traced_span(tracer, "iteration", index=iteration):
-                    if tracer is not None:
-                        tracer.count(
-                            "delta_rows",
-                            sum(len(a) for parts in deltas.values() for a in parts),
-                        )
-                    kdelta = {
-                        p: ArrayTable(
-                            tables[p].arity,
-                            parts[0] if len(parts) == 1 else np.concatenate(parts),
-                            np,
-                        )
-                        for p, parts in deltas.items()
-                        if parts
-                    }
-                    new_parts: dict[str, list] = {p: [] for p in stratum}
-                    new_seen: dict[str, set] = {p: set() for p in stratum}
-                    for rule_index, position, rewritten in rewritten_rules:
-                        with traced_span(
-                            tracer,
-                            "rule",
-                            rule=str(rules[rule_index]),
-                            delta_position=position,
-                        ):
-                            fired = fire(rewritten, (rule_index, position))
-                            if len(fired):
-                                predicate = rewritten.head.predicate
-                                new_arr, new_keys = screen(
-                                    predicate, fired, new_seen[predicate]
-                                )
-                                if new_keys:
-                                    new_seen[predicate].update(new_keys)
-                                    new_parts[predicate].append(new_arr)
-                                    if tracer is not None:
-                                        tracer.count("facts_derived", len(new_keys))
-                    for predicate, parts in new_parts.items():
-                        if parts:
-                            # Tables extend only at the iteration boundary —
-                            # the same visibility the scalar paths give rules
-                            # within one iteration, and one build-side
-                            # version bump per iteration instead of one per
-                            # rule.
-                            added = 0
-                            table = tables[predicate]
-                            for part in parts:
-                                table.extend_block(part)
-                                added += len(part)
-                            seen[predicate].update(new_seen[predicate])
-                            if guard is not None:
-                                guard.count_facts(added)
-                    deltas = new_parts
-                    kdelta = {}
-        finally:
-            for predicate, table in tables.items():
-                if len(table):
-                    self._relation(predicate).load_interned_block(table.as_array(np))

@@ -145,15 +145,7 @@ class TopDownEngine:
         if kb.is_edb(predicate):
             relation = kb.relation(predicate)
             pattern = [arg if is_constant(arg) else None for arg in atom.args]
-            # Large relations under the numpy backend resolve the pattern
-            # as one vectorized columnar scan over the interned mirror,
-            # yielding the stored constant rows directly; otherwise the
-            # per-column index lookup runs.  bind_row still enforces
-            # repeated-variable consistency either way.
-            rows = relation.columnar_lookup(pattern)
-            if rows is None:
-                rows = relation.lookup(pattern)
-            for row in rows:
+            for row in relation.lookup(pattern):
                 extended = bind_row(atom, row, theta)
                 if extended is not None:
                     yield extended

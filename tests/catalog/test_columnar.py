@@ -1,42 +1,13 @@
-"""Unit tests for the columnar layout and backend configuration.
+"""Unit tests for the columnar layout.
 
-Pins the :class:`ColumnBlock` edge cases the vectorized pipeline leans on
-(zero-arity relations, empty row sets, out-of-range access), the cached
-backend decision (``configure_backend`` / ``backend_override`` /
-``REPRO_NUMPY_MIN_ROWS`` validation), and the zero-copy memoized column
-views.  Scan-level select parity between the python loop and the numpy
-path lives in ``tests/property/test_columnar_parity.py``.
+Pins the :class:`ColumnBlock` edge cases its consumers (type inference,
+the interned mirror) lean on: zero-arity relations, empty row sets,
+out-of-range access, and row reconstruction from columns.
 """
 
 import pytest
 
-from repro.catalog.columnar import (
-    NUMPY_MIN_ROWS,
-    ColumnBlock,
-    backend_override,
-    configure_backend,
-    numpy_backend,
-    numpy_min_rows,
-    reset_backend,
-)
-from repro.errors import CatalogError
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Every test leaves the process-wide backend decision untouched."""
-    yield
-    reset_backend()
-
-
-def _numpy_or_skip():
-    if numpy_backend() is None:
-        with backend_override(None):
-            try:
-                configure_backend("numpy")
-            except CatalogError:
-                pytest.skip("numpy not importable")
-    return True
+from repro.catalog.columnar import ColumnBlock
 
 
 class TestColumnBlockEdges:
@@ -56,7 +27,6 @@ class TestColumnBlockEdges:
         block = ColumnBlock.from_rows(2, [], version=1)
         assert len(block) == 0
         assert block.int_rows() == []
-        assert list(block.select([(0, 7)])) == []
 
     def test_row_index_out_of_range(self):
         block = ColumnBlock.from_rows(2, [(1, 2)], version=0)
@@ -70,68 +40,3 @@ class TestColumnBlockEdges:
         rebuilt = ColumnBlock(2, 0, source.columns)
         assert rebuilt.int_rows() == [(1, 2), (3, 4)]
         assert rebuilt.int_rows() is rebuilt.int_rows()
-
-    def test_select_no_checks_is_full_range(self):
-        block = ColumnBlock.from_rows(1, [(5,), (6,)], version=0)
-        assert list(block.select([], [])) == [0, 1]
-
-
-class TestBackendConfig:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(CatalogError, match="unknown columnar backend"):
-            configure_backend("cuda")
-
-    def test_python_backend_disables_numpy(self):
-        configure_backend("python")
-        assert numpy_backend() is None
-
-    def test_min_rows_default_and_override(self):
-        configure_backend("python")
-        assert numpy_min_rows() == NUMPY_MIN_ROWS
-        configure_backend("python", min_rows=7)
-        assert numpy_min_rows() == 7
-
-    def test_env_min_rows_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMPY_MIN_ROWS", "-3")
-        reset_backend()
-        with pytest.raises(CatalogError, match="non-negative integer"):
-            numpy_min_rows()
-        monkeypatch.setenv("REPRO_NUMPY_MIN_ROWS", "banana")
-        reset_backend()
-        with pytest.raises(CatalogError, match="non-negative integer"):
-            numpy_min_rows()
-
-    def test_env_min_rows_parsed_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMPY_MIN_ROWS", "42")
-        reset_backend()
-        assert numpy_min_rows() == 42
-        # The decision is cached: later env changes are invisible until reset.
-        monkeypatch.setenv("REPRO_NUMPY_MIN_ROWS", "99")
-        assert numpy_min_rows() == 42
-        reset_backend()
-        assert numpy_min_rows() == 99
-
-    def test_backend_override_restores(self):
-        configure_backend("python", min_rows=5)
-        with backend_override("python", min_rows=11):
-            assert numpy_min_rows() == 11
-        assert numpy_min_rows() == 5
-
-
-class TestColumnViews:
-    def test_column_view_requires_numpy(self):
-        configure_backend("python")
-        block = ColumnBlock.from_rows(1, [(1,)], version=0)
-        with pytest.raises(CatalogError, match="numpy columnar backend"):
-            block.column_view(0)
-
-    def test_column_view_zero_copy_and_memoized(self):
-        _numpy_or_skip()
-        configure_backend("numpy", min_rows=0)
-        block = ColumnBlock.from_rows(2, [(1, 2), (3, 4)], version=0)
-        view = block.column_view(1)
-        assert view.tolist() == [2, 4]
-        assert block.column_view(1) is view  # memoized per column
-        # Zero-copy: the view wraps the block's own storage.
-        block.columns[1][0] = 9
-        assert view[0] == 9

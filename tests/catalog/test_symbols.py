@@ -154,13 +154,3 @@ class TestColumnBlock:
         assert block.version == 7
         assert [block.row(i) for i in range(3)] == rows
         assert block.int_rows() == rows
-
-    def test_select_applies_constant_and_duplicate_checks(self):
-        # select yields row *indexes*: const_checks pin column == id,
-        # dup_checks require two columns to hold the same id.
-        rows = [(1, 1), (1, 2), (2, 2), (3, 1)]
-        block = ColumnBlock.from_rows(2, rows, version=0)
-        assert list(block.select([(0, 1)], [])) == [0, 1]
-        assert list(block.select([], [(0, 1)])) == [0, 2]
-        assert list(block.select([(0, 1)], [(0, 1)])) == [0]
-        assert list(block.select([], [])) == [0, 1, 2, 3]

@@ -288,55 +288,3 @@ class TestKernelCaches:
         empty.declare_edb("edge", 2)
         assert kernel.execute(empty.relation) == []
         assert isinstance(kernel, ConjunctionKernel)
-
-
-class TestGrowTable:
-    """The vector path's append-only accumulator (numpy only)."""
-
-    @pytest.fixture
-    def np(self):
-        return pytest.importorskip("numpy")
-
-    def _gt(self, np, *blocks, arity=2):
-        from repro.engine.kernels import GrowTable
-
-        table = GrowTable(arity, np)
-        for rows in blocks:
-            table.extend_block(np.array(rows, dtype=np.int64).reshape(len(rows), arity))
-        return table
-
-    def test_empty_table(self, np):
-        table = self._gt(np)
-        assert len(table) == 0 and table.version == 0
-        assert table.as_array().shape == (0, 2)
-        assert table.int_rows() == []
-
-    def test_blocks_concatenate_in_order(self, np):
-        table = self._gt(np, [(1, 2)], [(3, 4), (5, 6)])
-        assert len(table) == 3
-        assert table.as_array().tolist() == [[1, 2], [3, 4], [5, 6]]
-        assert table.int_rows() == [(1, 2), (3, 4), (5, 6)]
-
-    def test_version_is_monotone_row_count(self, np):
-        table = self._gt(np, [(1, 1)])
-        assert table.version == 1
-        table.extend_block(np.array([[2, 2], [3, 3]], dtype=np.int64))
-        assert table.version == 3
-
-    def test_empty_block_extension_is_noop(self, np):
-        table = self._gt(np, [(1, 2)])
-        table.extend_block(np.empty((0, 2), dtype=np.int64))
-        assert len(table) == 1 and table.version == 1
-
-    def test_as_array_memoized_per_version(self, np):
-        table = self._gt(np, [(1, 2)], [(3, 4)])
-        first = table.as_array()
-        assert table.as_array() is first
-        table.extend_block(np.array([[5, 6]], dtype=np.int64))
-        assert table.as_array() is not first
-        assert table.as_array().tolist() == [[1, 2], [3, 4], [5, 6]]
-
-    def test_distinct_count(self, np):
-        table = self._gt(np, [(1, 9), (2, 9)], [(3, 9)])
-        assert table.distinct_count(0) == 3
-        assert table.distinct_count(1) == 1

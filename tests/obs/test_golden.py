@@ -18,25 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.catalog.columnar import backend_override
 from repro.datasets import routing_kb, university_kb
 from repro.engine.guard import ResourceGuard
 from repro.session import Session
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-@pytest.fixture(autouse=True)
-def _pin_python_backend():
-    """Golden files pin the default (python) columnar backend.
-
-    The numpy vector path adds counters (``probe_batches``,
-    ``dedup_batch_rows``) that would legitimately change the byte-stable
-    trees, so these tests always run the scalar path regardless of the
-    ambient ``REPRO_COLUMNAR_BACKEND``.
-    """
-    with backend_override("python"):
-        yield
 
 
 def _scrub(tree):

@@ -1,10 +1,11 @@
 """Disabled tracing must be (nearly) free on the benchmark smoke pair.
 
-Instrumentation sites guard on ``tracer is None`` (or receive the shared
-:data:`~repro.obs.NULL_TRACER` whose every method is a no-op), and they
-fire per rule / iteration / plan step — never per row.  This test times
-the benchmark runner's smoke workloads with tracing off versus the null
-tracer and holds the ratio under 5%.
+Instrumentation sites guard on ``tracer is None`` and fire per rule /
+iteration / plan step — never per row.  The engine entry points map a
+disabled tracer (such as :data:`~repro.obs.NULL_TRACER`) to ``None``, so
+it takes exactly the untraced branches: one test pins that no method of a
+disabled tracer is ever called, and the timing tests hold the null-tracer
+ratio on the benchmark runner's smoke workloads under 5%.
 
 Timing assertions are noisy under CI load, so each measurement takes the
 minimum of several repeats and the comparison retries before failing.
@@ -12,9 +13,15 @@ minimum of several repeats and the comparison retries before failing.
 
 import time
 
+import pytest
+
 from repro.datasets import chain_graph_kb, random_graph_kb
+from repro.engine import retrieve
+from repro.engine.evaluate import ENGINES
+from repro.engine.plan import EXECUTORS
 from repro.engine.seminaive import SemiNaiveEngine
-from repro.obs import NULL_TRACER
+from repro.lang.parser import parse_atom
+from repro.obs import NULL_TRACER, NullTracer
 
 #: Allowed slowdown with the null tracer attached (<5% per the spec).
 LIMIT = 1.05
@@ -56,3 +63,29 @@ def test_null_tracer_overhead_chain():
 
 def test_null_tracer_overhead_random_graph():
     assert_overhead(lambda: random_graph_kb(nodes=20, edges=40, seed=13), "path")
+
+
+class _TrippingTracer(NullTracer):
+    """A disabled tracer that fails the test if the engine calls into it."""
+
+    def _called(self, *args, **kwargs):
+        raise AssertionError("a disabled tracer was called on the hot path")
+
+    span = start = end = count = annotate = event = _called
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_disabled_tracer_is_never_called_by_the_fixpoint(executor):
+    engine = SemiNaiveEngine(
+        chain_graph_kb(10), executor=executor, tracer=_TrippingTracer()
+    )
+    assert len(engine.evaluate()["path"]) == 55
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_disabled_tracer_is_never_called_by_retrieve(engine):
+    result = retrieve(
+        chain_graph_kb(10), parse_atom("path(X, Y)"), engine=engine,
+        tracer=_TrippingTracer(),
+    )
+    assert len(result.rows) == 55

@@ -5,8 +5,6 @@ Every engine configuration the repo ships —
 * semi-naive bottom-up with the nested-loop reference executor (the
   baseline every other configuration is checked against),
 * semi-naive bottom-up with the interned kernel executor,
-* the kernel executor again with the numpy vector pipeline forced on
-  (skipped silently when numpy is not importable),
 * top-down evaluation with call-pattern tabling,
 * magic-sets rewriting followed by semi-naive evaluation,
 * the kernel executor again with analysis-informed planning forced off
@@ -33,7 +31,6 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.columnar import backend_override
 from repro.catalog.database import KnowledgeBase
 from repro.engine import retrieve
 from repro.logic.atoms import Atom, comparison
@@ -46,39 +43,25 @@ CONSTANTS = ["a", "b", "c", "d", "e"]
 VARIABLES = [Variable(n) for n in ("X", "Y", "Z", "W")]
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships in CI images
-        return False
-    return True
-
-
-#: Every (engine, executor, columnar backend, analysis) tuple under test;
-#: the first is the baseline.  The executor knob is seminaive-only
-#: (``None`` for the other engines).  Backend ``None`` leaves the ambient
-#: backend decision alone; ``"numpy"`` forces the vector pipeline with the
-#: row floor at 1 so every delta takes the vectorized path (the numpy
-#: config drops out of the matrix when numpy is not importable).  Analysis
-#: ``None`` keeps the ambient planner default (analysis-informed);
-#: ``"off"`` pins the purely syntactic planner for the run.
+#: Every (engine, executor, analysis) tuple under test; the first is the
+#: baseline.  The executor knob is seminaive-only (``None`` for the other
+#: engines).  Analysis ``None`` keeps the ambient planner default
+#: (analysis-informed); ``"off"`` pins the purely syntactic planner for
+#: the run.
 CONFIGS = (
-    ("seminaive", "nested", None, None),
-    ("seminaive", "kernel", None, None),
-    ("topdown", None, None, None),
-    ("magic", None, None, None),
-    ("seminaive", "kernel", None, "off"),
-) + ((("seminaive", "kernel", "numpy", None),) if _numpy_available() else ())
+    ("seminaive", "nested", None),
+    ("seminaive", "kernel", None),
+    ("topdown", None, None),
+    ("magic", None, None),
+    ("seminaive", "kernel", "off"),
+)
 
 
-def _answers(kb, subject, engine, executor, backend, analysis):
+def _answers(kb, subject, engine, executor, analysis):
     from repro.analysis.absint.summary import planning_override
 
     with planning_override(False if analysis == "off" else None):
-        if backend is None:
-            return retrieve(kb, subject, engine=engine, executor=executor).to_set()
-        with backend_override(backend, min_rows=1):
-            return retrieve(kb, subject, engine=engine, executor=executor).to_set()
+        return retrieve(kb, subject, engine=engine, executor=executor).to_set()
 
 
 def assert_engines_agree(kb, subject):
